@@ -95,7 +95,6 @@ from .join import (
     NumericDiffeo,
     PiecewiseMonotone,
     SmoothCert,
-    adaptive_simpson,
     bump_plateau,
     chain_from_json,
     collapse_chain,

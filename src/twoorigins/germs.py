@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
+from . import _numerics
 from .errors import DomainError
 from .realnum import REAL_TOL, Real, as_float, is_integral, real_eq, real_pow, to_real
 
@@ -42,13 +43,10 @@ K_MAX = 12
 _TERM_CAP = 512
 
 #: Richardson step schedule for one-sided numeric derivatives: 2^-4 .. 2^-16.
-_RICH_STEPS = [2.0 ** -j for j in range(4, 17)]
+_RICH_STEPS = _numerics.halving(2.0 ** -4, 13)
 
 #: Relative Cauchy threshold deciding numeric derivative existence.
 _RICH_REL = 1e-3
-
-#: Numeric derivative estimates are trusted only through this order.
-_NUMERIC_ORDER_CAP = 4
 
 
 class _Nonexistent:
@@ -571,41 +569,19 @@ def _exact_side_jet(side: SideExpansion, order: int, negate_odd: bool) -> list[J
     return coeffs
 
 
-def _fd_quotient(fn: Callable[[float], float], j: int, h: float, side: str) -> float:
-    """One-sided j-th difference quotient at 0 with step h."""
-    total = 0.0
-    for m in range(j + 1):
-        c = math.comb(j, m)
-        if side == "pos":
-            total += ((-1) ** (j - m)) * c * (0.0 if m == 0 else fn(m * h))
-        else:
-            total += ((-1) ** m) * c * (0.0 if m == 0 else fn(-m * h))
-    return total / h ** j
-
-
 def _richardson(fn: Callable[[float], float], j: int, side: str):
-    """Extrapolated one-sided derivative estimate.
+    """Extrapolated one-sided derivative estimate at 0.
 
     Returns (value, err, status) with status in "ok" / "nonexistent" /
-    "indeterminate". Rows extend a Neville tableau one step at a time (the
-    base formula has a full h, h^2, ... error series, so level m divides out
-    2^m - 1); the entry with the smallest disagreement against its neighbors
-    wins, so rounding noise at the finest steps cannot mask an earlier
-    converged region. Existence is the fixed relative 1e-3 Cauchy criterion.
+    "indeterminate". The stencil node at 0 is the germ's fixed point, so it
+    is 0.0 without a call. Existence is the fixed relative 1e-3 Cauchy
+    criterion; a quotient sequence that keeps growing at the finest steps
+    marks a derivative that does not exist.
     """
-    raw = [_fd_quotient(fn, j, h, side) for h in _RICH_STEPS]
-    n = len(raw)
-    rows: list[list[float]] = []
-    best_val, best_err = raw[0], math.inf
-    for i in range(n):
-        row = [raw[i]]
-        for m in range(1, i + 1):
-            fac = 2.0 ** m
-            row.append((fac * row[m - 1] - rows[i - 1][m - 1]) / (fac - 1.0))
-            errt = max(abs(row[m] - row[m - 1]), abs(row[m] - rows[i - 1][m - 1]))
-            if errt < best_err:
-                best_err, best_val = errt, row[m]
-        rows.append(row)
+    sign = 1.0 if side == "pos" else -1.0
+    rows = [[0.0] + [fn(x) for x in row[1:]]
+            for row in _numerics.offsets(j, _RICH_STEPS, sign)]
+    best_val, best_err, raw = _numerics.one_sided(rows, j, _RICH_STEPS, sign)
     if best_err <= _RICH_REL * max(1.0, abs(best_val)):
         return best_val, best_err, "ok"
     mags = [abs(v) for v in raw]
@@ -624,7 +600,7 @@ def _numeric_side_jet(h: GermLike, order: int, side: str):
         if blocked is not None:
             out.append((blocked, None, None))
             continue
-        if j > _NUMERIC_ORDER_CAP:
+        if j > _numerics.ORDER_CAP:
             out.append(("indeterminate", None, None))
             blocked = "indeterminate"
             continue

@@ -7,6 +7,10 @@ charts, and the collapse of a finite chain-like atlas to a single chart with
 one recorded reparametrization per original chart. Certification is by
 one-sided Richardson derivative estimates at the seam points.
 
+Every map here takes a float or a 1-D array and returns the same kind, so a
+certificate or a glue evaluates its points in a few array calls. A
+transition rule that only takes floats still works: NumericDiffeo loops it.
+
 Everything here is floating point; exactness claims are therefore about
 construction (snapped grid values, identity short-circuits), and smoothness
 claims are certificates with stated tolerances, not proofs.
@@ -14,95 +18,80 @@ claims are certificates with stated tolerances, not proofs.
 
 from __future__ import annotations
 
+import functools
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
+from . import _numerics
 from .errors import DomainError, GlueInfeasible, NotJoinable
 
 #: Flat per-order tolerances used when the caller does not override them.
 TOL_SCHEDULE = (1e-6, 1e-5, 1e-3, 1e-2)
-VERIFY_ORDER_CAP = 4
-SIMPSON_TOL = 1e-10
-#: Adaptive Simpson recursion depth; 2**20 cells at the deepest.
-_SIMPSON_DEPTH = 20
 
 _IDENTITY_TOL = 1e-12
 _ENDPOINT_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
+# the map protocol: a float in gives a float out, a 1-D array an array
+
+def _pointwise(call):
+    """Let an array-in, array-out __call__ also take a float."""
+    @functools.wraps(call)
+    def lifted(self, x):
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim == 0:
+            return float(call(self, xs.reshape(1))[0])
+        return call(self, xs)
+    return lifted
+
+
+def _array_rule(fn: Callable, probe: np.ndarray) -> Callable:
+    """fn as a rule on 1-D arrays: a callable that rejects arrays (math.sin,
+    say) or answers one with the wrong shape is looped point by point."""
+    try:
+        if np.shape(fn(probe)) == probe.shape:
+            return fn
+    except (TypeError, ValueError):
+        pass
+    return lambda xs: np.array([float(fn(x)) for x in xs])
+
+
+def _central_slope(f: Callable, xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """4th-order central first derivative of the array rule f at xs inside
+    (lo, hi); the step shrinks near the ends of the interval."""
+    span = hi - lo
+    h = np.maximum(np.minimum(np.minimum(1e-5 * span, (xs - lo) / 2.5), (hi - xs) / 2.5),
+                   1e-12 * span)
+    nodes = np.concatenate((xs + 2 * h, xs + h, xs - h, xs - 2 * h))
+    f2, f1, m1, m2 = np.asarray(f(nodes), dtype=float).reshape(4, -1)
+    return (-f2 + 8 * f1 - 8 * m1 + m2) / (12 * h)
+
+
+# ---------------------------------------------------------------------------
 # quadrature
-
-def adaptive_simpson(f: Callable[[float], float], a: float, b: float,
-                     tol: float = SIMPSON_TOL) -> float:
-    """Adaptive composite Simpson integral of f over [a, b].
-
-    Classic recursion with the Richardson correction term; subdivision stops
-    when the two-panel refinement agrees within the local tolerance budget or
-    the depth cap is reached.
-    """
-    a, b = float(a), float(b)
-    if a == b:
-        return 0.0
-    if a > b:
-        return -adaptive_simpson(f, b, a, tol)
-
-    def simp(l, r, fl, fm, fr):
-        return (r - l) / 6.0 * (fl + 4.0 * fm + fr)
-
-    def rec(l, r, fl, fm, fr, whole, budget, depth):
-        m = 0.5 * (l + r)
-        flm = f(0.5 * (l + m))
-        frm = f(0.5 * (m + r))
-        left = simp(l, m, fl, flm, fm)
-        right = simp(m, r, fm, frm, fr)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * budget:
-            return left + right + (left + right - whole) / 15.0
-        return (rec(l, m, fl, flm, fm, left, budget / 2.0, depth - 1)
-                + rec(m, r, fm, frm, fr, right, budget / 2.0, depth - 1))
-
-    fa, fm_, fb = f(a), f(0.5 * (a + b)), f(b)
-    return rec(a, b, fa, fm_, fb, simp(a, b, fa, fm_, fb), tol, _SIMPSON_DEPTH)
-
 
 _PANEL_OFFSETS = np.arange(9) / 8.0
 _PANEL_WEIGHTS = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
 
 
-def _panel_quad(f: Callable[[float], float], a: float, b: float) -> float:
-    """Fixed 4-panel composite Simpson on [a, b] (scalar path)."""
-    if a == b:
-        return 0.0
-    h = b - a
-    acc = 0.0
-    for off, w in zip(_PANEL_OFFSETS, _PANEL_WEIGHTS):
-        acc += w * f(a + h * off)
-    return acc * h
+def _panel_integrals(f: Callable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Fixed 4-panel composite Simpson of the array rule f on each
+    [left[i], right[i]]."""
+    widths = right - left
+    nodes = (left[:, None] + widths[:, None] * _PANEL_OFFSETS).ravel()
+    return (f(nodes).reshape(-1, 9) @ _PANEL_WEIGHTS) * widths
 
 
 # ---------------------------------------------------------------------------
 # bumps
 
-def _smoothstep(t: float) -> float:
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.0:
-        return 1.0
-    qa = math.exp(-1.0 / t)
-    qb = math.exp(-1.0 / (1.0 - t))
-    return qa / (qa + qb)
-
-
 def _smoothstep_arr(t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    out = np.zeros_like(t)
-    out[t >= 1.0] = 1.0
+    out = (t >= 1.0).astype(float)
     mid = (t > 0.0) & (t < 1.0)
     tm = t[mid]
     qa = np.exp(-1.0 / tm)
@@ -130,14 +119,13 @@ class _Plateau:
             )
         self.l0, self.l1, self.r1, self.r0 = l0, l1, r1, r0
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        return (_smoothstep((x - self.l0) / (self.l1 - self.l0))
-                * _smoothstep((self.r0 - x) / (self.r0 - self.r1)))
-
-    def arr(self, xs: np.ndarray) -> np.ndarray:
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
         return (_smoothstep_arr((xs - self.l0) / (self.l1 - self.l0))
                 * _smoothstep_arr((self.r0 - xs) / (self.r0 - self.r1)))
+
+    #: The call under its older array-only name.
+    arr = __call__
 
 
 def bump_plateau(l0, l1, r1, r0) -> _Plateau:
@@ -146,7 +134,7 @@ def bump_plateau(l0, l1, r1, r0) -> _Plateau:
 
 
 # ---------------------------------------------------------------------------
-# map-like objects: callable, .domain, .seams
+# map-like objects: callable on floats and 1-D arrays, .domain, .seams
 
 @dataclass(frozen=True)
 class IdentityMap:
@@ -158,8 +146,9 @@ class IdentityMap:
     def seams(self) -> tuple:
         return ()
 
-    def __call__(self, x: float) -> float:
-        return float(x)
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return xs.copy()
 
 
 @dataclass(frozen=True)
@@ -180,8 +169,9 @@ class AffineMap:
     def seams(self) -> tuple:
         return ()
 
-    def __call__(self, x: float) -> float:
-        return self.a * float(x) + self.b
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return self.a * xs + self.b
 
     def inverse(self) -> "AffineMap":
         lo, hi = self.domain
@@ -202,8 +192,9 @@ class ComposedMap:
     def domain(self) -> tuple:
         return self.inner.domain
 
-    def __call__(self, x: float) -> float:
-        return float(self.outer(self.inner(x)))
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return self.outer(self.inner(xs))
 
 
 @dataclass(frozen=True, eq=False)
@@ -230,16 +221,15 @@ class PiecewiseMonotone:
             raise DomainError("breakpoints must strictly increase")
         scale = max(1.0, abs(bps[0]), abs(bps[-1]))
         for i in range(1, len(bps) - 1):
-            left = float(self.pieces[i - 1](bps[i]))
-            right = float(self.pieces[i](bps[i]))
+            left = self.pieces[i - 1](bps[i])
+            right = self.pieces[i](bps[i])
             if abs(left - right) > 1e-8 * scale:
                 raise DomainError(
                     f"pieces disagree at breakpoint {bps[i]}: {left} vs {right}"
                 )
         prev = None
         for i, piece in enumerate(self.pieces):
-            for t in np.linspace(bps[i], bps[i + 1], 9):
-                val = float(piece(t))
+            for val in piece(np.linspace(bps[i], bps[i + 1], 9)).tolist():
                 if prev is not None and val <= prev - 1e-12 * scale:
                     raise DomainError("assembled map is not increasing")
                 prev = max(val, prev) if prev is not None else val
@@ -253,11 +243,11 @@ class PiecewiseMonotone:
         interior = self.breakpoints[1:-1]
         return tuple(sorted(set(interior) | set(self.extra_seams)))
 
-    def __call__(self, x: float) -> float:
-        x = float(x)
-        i = bisect_right(self.breakpoints, x) - 1
-        i = min(max(i, 0), len(self.pieces) - 1)
-        return float(self.pieces[i](x))
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        which = np.searchsorted(self.breakpoints, xs, side="right") - 1
+        which = np.clip(which, 0, len(self.pieces) - 1)
+        return np.piecewise(xs, [which == i for i in range(len(self.pieces))], self.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -287,10 +277,11 @@ class GlueReport:
 class NumericDiffeo:
     """Monotone map on an open interval, carried by samples.
 
-    The monotone piecewise-cubic interpolant of the samples is the fallback
-    evaluator; when the exact rule behind the samples is known it rides along
-    as `underlying` and takes priority (interpolation then only documents the
-    map). seams lists interior points where smoothness is merely piecewise.
+    When the exact rule behind the samples is known it rides along as
+    `underlying` and is the evaluator (the samples then only document the
+    map); otherwise the monotone piecewise-cubic interpolant of the samples
+    is. The evaluator is chosen once, here. seams lists interior points where
+    smoothness is merely piecewise.
     """
 
     xs: tuple
@@ -300,31 +291,36 @@ class NumericDiffeo:
     glue: Optional[GlueReport] = None
 
     def __post_init__(self):
-        xs = tuple(float(v) for v in self.xs)
-        ys = tuple(float(v) for v in self.ys)
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        xs = np.asarray(self.xs, dtype=float)
+        ys = np.asarray(self.ys, dtype=float)
         if len(xs) != len(ys) or len(xs) < 4:
             raise DomainError("need at least 4 samples")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if np.any(np.diff(xs) <= 0.0):
             raise DomainError("x samples must strictly increase")
-        up = ys[1] > ys[0]
-        pairs = zip(ys, ys[1:]) if up else zip(ys[1:], ys)
-        if any(b <= a for a, b in pairs):
+        up = bool(ys[1] > ys[0])
+        if np.any(np.diff(ys) <= 0.0 if up else np.diff(ys) >= 0.0):
             raise DomainError("y samples must be strictly monotone")
+        object.__setattr__(self, "xs", tuple(xs.tolist()))
+        object.__setattr__(self, "ys", tuple(ys.tolist()))
         object.__setattr__(self, "_increasing", up)
-        object.__setattr__(self, "_pchip", PchipInterpolator(np.array(xs), np.array(ys)))
-        object.__setattr__(self, "_deriv", None)
+        if self.underlying is None:
+            rule = PchipInterpolator(xs, ys)
+            slope = rule.derivative()
+        else:
+            rule = _array_rule(self.underlying, xs[:2])
+            slope = functools.partial(_central_slope, rule, lo=self.xs[0], hi=self.xs[-1])
+        object.__setattr__(self, "_rule", rule)
+        object.__setattr__(self, "_slope", slope)
 
     @classmethod
-    def from_function(cls, fn: Callable[[float], float], domain, n: int = 256,
+    def from_function(cls, fn: Callable, domain, n: int = 256,
                       seams: tuple = ()) -> "NumericDiffeo":
         a, b = float(domain[0]), float(domain[1])
         if not (a < b and math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"domain must be a finite interval, got ({a}, {b})")
         xs = np.linspace(a, b, max(int(n), 4) + 1)
-        ys = [float(fn(x)) for x in xs]
-        return cls(tuple(xs), tuple(ys), underlying=fn, seams=tuple(seams))
+        rule = _array_rule(fn, xs[:2])
+        return cls(xs, rule(xs), underlying=rule, seams=tuple(seams))
 
     @property
     def domain(self) -> tuple:
@@ -334,81 +330,58 @@ class NumericDiffeo:
     def increasing(self) -> bool:
         return self._increasing
 
-    def __call__(self, x) -> float:
-        if self.underlying is not None:
-            return float(self.underlying(float(x)))
-        return float(self._pchip(float(x)))
-
-    def _stencil_h(self, x: float) -> float:
-        a, b = self.domain
-        h0 = 1e-5 * (b - a)
-        return max(min(h0, (x - a) / 2.5, (b - x) / 2.5), 1e-12 * (b - a))
+    @_pointwise
+    def __call__(self, xs: np.ndarray) -> np.ndarray:
+        return np.asarray(self._rule(xs), dtype=float)
 
     def derivative_at(self, x: float) -> float:
-        """First derivative: 4th-order central stencil on the exact rule,
-        interpolant derivative otherwise."""
-        x = float(x)
-        if self.underlying is None:
-            d = self._deriv
-            if d is None:
-                d = self._pchip.derivative()
-                object.__setattr__(self, "_deriv", d)
-            return float(d(x))
-        f, h = self.underlying, self._stencil_h(x)
-        return (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
+        """First derivative at x; see derivative_grid."""
+        return float(self.derivative_grid(np.array([float(x)]))[0])
 
-    def derivative_grid(self, xs: np.ndarray) -> np.ndarray:
-        """Vectorized derivative_at; falls back to a scalar loop when the
-        exact rule rejects array input."""
-        xs = np.asarray(xs, dtype=float)
-        if self.underlying is None:
-            d = self._deriv
-            if d is None:
-                d = self._pchip.derivative()
-                object.__setattr__(self, "_deriv", d)
-            return np.asarray(d(xs), dtype=float)
-        a, b = self.domain
-        h = np.maximum(np.minimum.reduce([
-            np.full_like(xs, 1e-5 * (b - a)), (xs - a) / 2.5, (b - xs) / 2.5,
-        ]), 1e-12 * (b - a))
-        f = self.underlying
-        try:
-            vals = (-f(xs + 2 * h) + 8 * f(xs + h) - 8 * f(xs - h) + f(xs - 2 * h)) / (12 * h)
-            vals = np.asarray(vals, dtype=float)
-            if vals.shape != xs.shape:
-                raise ValueError
-            return vals
-        except (TypeError, ValueError):
-            return np.array([self.derivative_at(x) for x in xs])
+    def derivative_grid(self, xs) -> np.ndarray:
+        """First derivative at each of xs: 4th-order central stencil on the
+        exact rule, interpolant derivative otherwise."""
+        return np.asarray(self._slope(np.asarray(xs, dtype=float)), dtype=float)
 
     def inverse(self) -> "NumericDiffeo":
         """Functional inverse: sample swap plus root-finding on the forward map."""
         xs, ys = np.array(self.xs), np.array(self.ys)
         if not self.increasing:
             xs, ys = xs[::-1], ys[::-1]
-        fwd = self  # __call__ routes through underlying or interpolant
-        y_lo, y_hi = ys[0], ys[-1]
+        fwd, last = self._rule, len(ys) - 1
 
-        def inv(y: float) -> float:
-            y = float(min(max(y, y_lo), y_hi))
-            i = int(np.searchsorted(ys, y))
-            i = min(max(i, 1), len(ys) - 1)
-            lo, hi = xs[i - 1], xs[i]
-            flo, fhi = fwd(lo) - y, fwd(hi) - y
-            if flo == 0.0:
-                return float(lo)
-            if fhi == 0.0:
-                return float(hi)
-            if flo * fhi > 0:
-                # sample grid and underlying disagree slightly; widen once
-                lo = xs[max(i - 2, 0)]
-                hi = xs[min(i + 1, len(xs) - 1)]
-            return float(brentq(lambda t: fwd(t) - y, lo, hi,
-                                xtol=1e-15, rtol=8.9e-16, maxiter=200))
+        def inv(y: np.ndarray) -> np.ndarray:
+            y = np.clip(y, ys[0], ys[-1])
+            i = np.clip(np.searchsorted(ys, y), 1, last)
+            a, b = xs[i - 1], xs[i]
+            fa, fb = np.asarray(fwd(np.concatenate((a, b))), dtype=float).reshape(2, -1) - y
+            # Illinois regula falsi while fwd(a) < y <= fwd(b): an end kept twice
+            # in a row has its residual halved, so both ends close in. The
+            # answer is the first float from a toward b with fwd(x) >= y, so
+            # the inverse rounds one way everywhere and seam certificates see
+            # no ulp jitter. Where the rule and the samples disagree, the
+            # nearer cell end stands.
+            moved = np.zeros(len(y))  # -1: a moved last, +1: b did
+            for _ in range(100):  # cells shrink to adjacent floats well before
+                mid = 0.5 * (a + b)
+                live = np.flatnonzero((fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0))
+                if live.size == 0:
+                    break
+                al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
+                x = bl - fbl * (bl - al) / (fbl - fal)
+                x = np.where((x - al) * (x - bl) < 0.0, x, mid[live])
+                x = np.where(fbl == 0.0, np.nextafter(bl, al), x)  # b is a root: step down
+                fx = np.asarray(fwd(x), dtype=float) - y[live]
+                low = fx < 0.0
+                a[live] = np.where(low, x, al)
+                b[live] = np.where(low, bl, x)
+                fa[live] = np.where(low, fx, np.where(moved[live] > 0.0, 0.5 * fal, fal))
+                fb[live] = np.where(low, np.where(moved[live] < 0.0, 0.5 * fbl, fbl), fx)
+                moved[live] = np.where(low, -1.0, 1.0)
+            return np.where(fa >= 0.0, a, b)
 
         inv_seams = tuple(sorted(float(self(s)) for s in self.seams))
-        return NumericDiffeo(tuple(map(float, ys)), tuple(map(float, xs)),
-                             underlying=inv, seams=inv_seams)
+        return NumericDiffeo(tuple(ys), tuple(xs), underlying=inv, seams=inv_seams)
 
     def is_identity(self, tol: float = _IDENTITY_TOL) -> bool:
         scale = max(1.0, abs(self.xs[0]), abs(self.xs[-1]))
@@ -454,34 +427,34 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     if abs(g.ys[0] - b) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - c) > _ENDPOINT_TOL * scale:
         raise DomainError("transition must map the interval onto itself")
 
-    F = bump_plateau(b - eps, b, b + eps, b + 2 * eps)
-    R = bump_plateau(c - 2 * eps, c - eps, c, c + eps)
-    beta = bump_plateau(b + eps, b + 2 * eps, c - 2 * eps, c - eps)
+    lo_seam, hi_seam = b + eps, c - eps
+    F = bump_plateau(b - eps, b, lo_seam, b + 2 * eps)
+    R = bump_plateau(c - 2 * eps, hi_seam, c, c + eps)
+    beta = bump_plateau(lo_seam, b + 2 * eps, c - 2 * eps, hi_seam)
 
-    xs = np.union1d(np.linspace(b, c, max(int(n), 16) + 1),
-                    np.array([b + eps, c - eps]))
-    widths = np.diff(xs)
-    nodes = (xs[:-1, None] + widths[:, None] * _PANEL_OFFSETS[None, :]).ravel()
+    def alpha(t: np.ndarray) -> np.ndarray:
+        """F + R*g', reading g' only where R is nonzero."""
+        r = R(t)
+        gp = np.zeros_like(t)
+        mask = r > 0.0
+        if mask.any():
+            gp[mask] = g.derivative_grid(t[mask])
+            if np.any(gp[mask] <= 0.0):
+                raise DomainError("transition derivative is not positive on the grid")
+        return F(t) + r * gp
 
-    r_nodes = R.arr(nodes)
-    gp_nodes = np.zeros_like(nodes)
-    mask = r_nodes > 0.0
-    if mask.any():
-        gp_nodes[mask] = g.derivative_grid(nodes[mask])
-        if np.any(gp_nodes[mask] <= 0.0):
-            raise DomainError("transition derivative is not positive on the grid")
-    alpha_nodes = F.arr(nodes) + r_nodes * gp_nodes
-    beta_nodes = beta.arr(nodes)
+    # a grid node within rounding (1e-12 of the scale) of a seam would leave
+    # a cell too thin to stay increasing once the samples are snapped: the
+    # seam replaces it
+    grid = np.linspace(b, c, max(int(n), 16) + 1)
+    near = np.minimum(np.abs(grid - lo_seam), np.abs(grid - hi_seam)) <= 1e-12 * scale
+    near[[0, -1]] = False
+    xs = np.union1d(grid[~near], (lo_seam, hi_seam))
+    i_alpha = np.concatenate(([0.0], np.cumsum(_panel_integrals(alpha, xs[:-1], xs[1:]))))
+    i_beta = np.concatenate(([0.0], np.cumsum(_panel_integrals(beta, xs[:-1], xs[1:]))))
 
-    def cumulate(vals: np.ndarray) -> np.ndarray:
-        cells = (vals.reshape(-1, 9) @ _PANEL_WEIGHTS) * widths
-        return np.concatenate(([0.0], np.cumsum(cells)))
-
-    i_alpha = cumulate(alpha_nodes)
-    i_beta = cumulate(beta_nodes)
-
-    i_fit = int(np.searchsorted(xs, c - eps))
-    target = float(g(c - eps))
+    i_fit = int(np.searchsorted(xs, hi_seam))
+    target = float(g(hi_seam))
     numerator = target - b - i_alpha[i_fit]
     mass = float(i_beta[i_fit])
     lam = numerator / mass
@@ -491,9 +464,9 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
             f"too little room ({numerator:.3e})", eps=eps, mass=numerator)
 
     ys = b + i_alpha + lam * i_beta
-    left = xs <= b + eps
-    right = xs >= c - eps
-    g_right = np.array([float(g(x)) for x in xs[right]])
+    left = xs <= lo_seam
+    right = xs >= hi_seam
+    g_right = g(xs[right])
     presnap_id = float(np.max(np.abs(ys[left] - xs[left])))
     presnap_g = float(np.max(np.abs(ys[right] - g_right)))
     ys[left] = xs[left]
@@ -501,27 +474,20 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     integral_residual = abs((b + i_alpha[-1] + lam * i_beta[-1]) - c) / span
 
     report = GlueReport(eps=eps, lam=float(lam), integral_residual=float(integral_residual),
-                        presnap_id=presnap_id, presnap_g=presnap_g, cells=len(widths))
+                        presnap_id=presnap_id, presnap_g=presnap_g, cells=len(xs) - 1)
 
-    xs_t = tuple(map(float, xs))
-    ys_t = tuple(map(float, ys))
-    lo_seam, hi_seam = b + eps, c - eps
+    def gamma(t: np.ndarray) -> np.ndarray:
+        return alpha(t) + lam * beta(t)
 
-    def gamma(x: float) -> float:
-        r = R(x)
-        gp = g.derivative_at(x) if r > 0.0 else 0.0
-        return F(x) + r * gp + lam * beta(x)
+    def between(t: np.ndarray) -> np.ndarray:
+        i = np.searchsorted(xs, t, side="right") - 1
+        return ys[i] + _panel_integrals(gamma, xs[i], t)
 
-    def p_call(x: float) -> float:
-        x = float(x)
-        if x <= lo_seam:
-            return x
-        if x >= hi_seam:
-            return float(g(x))
-        i = bisect_right(xs_t, x) - 1
-        return ys_t[i] + _panel_quad(gamma, xs_t[i], x)
+    def p_call(x: np.ndarray) -> np.ndarray:
+        return np.piecewise(x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],
+                            [g, between, lambda t: t])
 
-    return NumericDiffeo(xs_t, ys_t, underlying=p_call,
+    return NumericDiffeo(xs, ys, underlying=p_call,
                          seams=(lo_seam, hi_seam), glue=report)
 
 
@@ -608,21 +574,23 @@ class ChainAtlas:
                     "are not allowed"
                 )
         for i, g in enumerate(transitions):
-            if not isinstance(g, NumericDiffeo):
-                raise NotJoinable(f"transition {i} is not a numeric map")
-            want = (imgs[i + 1][0], imgs[i][1])
-            scale = max(1.0, abs(want[0]), abs(want[1]))
-            if abs(g.domain[0] - want[0]) > _ENDPOINT_TOL * scale \
-                    or abs(g.domain[1] - want[1]) > _ENDPOINT_TOL * scale:
-                raise NotJoinable(
-                    f"transition {i} lives on {g.domain}, expected the "
-                    f"overlap {want}"
-                )
-            if not g.increasing:
-                raise NotJoinable(f"transition {i} must preserve orientation")
-            if abs(g.ys[0] - want[0]) > _ENDPOINT_TOL * scale \
-                    or abs(g.ys[-1] - want[1]) > _ENDPOINT_TOL * scale:
-                raise NotJoinable(f"transition {i} does not fix the overlap ends")
+            _check_transition(g, (imgs[i + 1][0], imgs[i][1]), f"transition {i}")
+
+
+def _check_transition(g, overlap: tuple, name: str) -> None:
+    """NotJoinable unless g is an increasing numeric self-map of the overlap
+    fixing its ends."""
+    lo, hi = overlap
+    if not isinstance(g, NumericDiffeo):
+        raise NotJoinable(f"{name} is not a numeric map")
+    scale = max(1.0, abs(lo), abs(hi))
+    if abs(g.domain[0] - lo) > _ENDPOINT_TOL * scale \
+            or abs(g.domain[1] - hi) > _ENDPOINT_TOL * scale:
+        raise NotJoinable(f"{name} lives on {g.domain}, expected the overlap {overlap}")
+    if not g.increasing:
+        raise NotJoinable(f"{name} must preserve orientation")
+    if abs(g.ys[0] - lo) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - hi) > _ENDPOINT_TOL * scale:
+        raise NotJoinable(f"{name} does not fix the overlap ends")
 
 
 # ---------------------------------------------------------------------------
@@ -655,41 +623,6 @@ class SmoothCert:
         }
 
 
-_BINOM = [[math.comb(j, i) for i in range(j + 1)] for j in range(VERIFY_ORDER_CAP + 1)]
-
-
-def _one_sided_deriv(f: Callable[[float], float], s: float, j: int,
-                     sign: float, h0: float) -> tuple:
-    """Richardson-extrapolated one-sided j-th derivative of f at s.
-
-    Forward differences for sign=+1, backward for sign=-1; Neville tableau
-    over halved steps, returning the entry with the best internal error
-    estimate (value, err).
-    """
-    rows = []
-    best = None
-    best_err = math.inf
-    h = h0
-    for level in range(12):
-        acc = 0.0
-        for i in range(j + 1):
-            acc += (-1) ** (j - i) * _BINOM[j][i] * f(s + sign * i * h)
-        q = acc / (sign * h) ** j
-        row = [q]
-        for m in range(1, level + 1):
-            fac = 2.0 ** m
-            row.append((fac * row[m - 1] - rows[-1][m - 1]) / (fac - 1.0))
-            errt = max(abs(row[m] - row[m - 1]), abs(row[m] - rows[-1][m - 1]))
-            if errt <= best_err:
-                best_err = errt
-                best = row[m]
-        if best is None:
-            best = q
-        rows.append(row)
-        h /= 2.0
-    return best, best_err
-
-
 def verify_ck_numeric(map_obj, k: int, tol=None, grid_n: int = 32) -> SmoothCert:
     """Numeric order-k certificate for a monotone map with seams.
 
@@ -700,10 +633,9 @@ def verify_ck_numeric(map_obj, k: int, tol=None, grid_n: int = 32) -> SmoothCert
     admits maps with a vanishing one-sided slope at a seam. Failures are
     reported, never raised.
     """
-    if not isinstance(k, int) or not (1 <= k <= VERIFY_ORDER_CAP):
-        raise DomainError(
-            f"numeric certification is capped at order {VERIFY_ORDER_CAP}, got {k!r}"
-        )
+    cap = _numerics.ORDER_CAP
+    if not isinstance(k, int) or not (1 <= k <= cap):
+        raise DomainError(f"numeric certification is capped at order {cap}, got {k!r}")
     if tol is None:
         tols = TOL_SCHEDULE[:k]
     elif isinstance(tol, (int, float)):
@@ -721,34 +653,34 @@ def verify_ck_numeric(map_obj, k: int, tol=None, grid_n: int = 32) -> SmoothCert
 
     min_slope = math.inf
     # grid slopes, nudged off any seam
-    grid_pts = []
-    for i in range(1, grid_n):
-        x = lo + span * i / grid_n
-        if any(abs(x - s) < span / (4 * grid_n) for s in seams):
-            x += span / (2 * grid_n)
-            if not (lo < x < hi):
-                continue
-        grid_pts.append(x)
-    for x in grid_pts:
-        h = min(1e-5 * span, (x - lo) / 2.5, (hi - x) / 2.5)
-        f = map_obj
-        slope = (-f(x + 2 * h) + 8 * f(x + h) - 8 * f(x - h) + f(x - 2 * h)) / (12 * h)
-        min_slope = min(min_slope, slope)
+    grid = lo + span * np.arange(1, grid_n) / grid_n
+    if seams:
+        near = np.min(np.abs(grid[:, None] - np.array(seams)), axis=1) < span / (4 * grid_n)
+        grid = np.where(near, grid + span / (2 * grid_n), grid)
+    grid = grid[(lo < grid) & (grid < hi)]
+    if grid.size:
+        min_slope = float(np.min(_central_slope(map_obj, grid, lo, hi)))
+
+    # one-sided estimates of orders 1..k on both sides of every seam, from
+    # one call on all their stencil nodes; plan holds (left, right) pairs
+    bounds = [lo] + seams + [hi]
+    plan = [(s, j, sign, _numerics.halving(0.8 * gap / j, 12))
+            for idx, s in enumerate(seams) for j in range(1, k + 1)
+            for sign, gap in ((-1.0, s - bounds[idx]), (1.0, bounds[idx + 2] - s))]
+    nodes = [s + o for s, j, sign, steps in plan
+             for row in _numerics.offsets(j, steps, sign) for o in row]
+    values = iter(map_obj(np.array(nodes)).tolist() if nodes else ())
+    estimates = [_numerics.one_sided([[next(values) for _ in range(j + 1)] for _ in steps],
+                                     j, steps, sign)[0]
+                 for s, j, sign, steps in plan]
 
     residuals = [0.0] * k
-    bounds = [lo] + seams + [hi]
-    for idx, s in enumerate(seams):
-        gap_left = s - bounds[idx]
-        gap_right = bounds[idx + 2] - s
-        for j in range(1, k + 1):
-            h_l = 0.8 * gap_left / max(j, 1)
-            h_r = 0.8 * gap_right / max(j, 1)
-            left, _ = _one_sided_deriv(map_obj, s, j, -1.0, h_l)
-            right, _ = _one_sided_deriv(map_obj, s, j, +1.0, h_r)
-            scale = max(1.0, abs(left), abs(right))
-            residuals[j - 1] = max(residuals[j - 1], abs(left - right) / scale)
-            if j == 1:
-                min_slope = min(min_slope, left, right)
+    for n, (left, right) in enumerate(zip(estimates[::2], estimates[1::2])):
+        j = n % k + 1
+        scale = max(1.0, abs(left), abs(right))
+        residuals[j - 1] = max(residuals[j - 1], abs(left - right) / scale)
+        if j == 1:
+            min_slope = min(min_slope, left, right)
 
     if min_slope is math.inf:
         min_slope = 0.0
@@ -799,14 +731,7 @@ def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
         raise NotJoinable(
             f"images must interleave a < b < c < d, got a={a}, b={b}, c={c}, d={d}"
         )
-    scale = max(1.0, abs(b), abs(c))
-    if abs(g.domain[0] - b) > _ENDPOINT_TOL * scale \
-            or abs(g.domain[1] - c) > _ENDPOINT_TOL * scale:
-        raise NotJoinable(f"transition lives on {g.domain}, expected ({b}, {c})")
-    if not g.increasing:
-        raise NotJoinable("transition must preserve orientation")
-    if abs(g.ys[0] - b) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - c) > _ENDPOINT_TOL * scale:
-        raise NotJoinable("transition does not fix the overlap ends")
+    _check_transition(g, (b, c), "transition")
 
     label = f"{U.label}|{V.label}"
     chart = IntervalChart(label, (a, d))
@@ -854,12 +779,12 @@ class CollapseResult:
 def _probe_identity(r, interval, label: str) -> None:
     lo, hi = interval
     scale = max(1.0, abs(lo), abs(hi))
-    for t in np.linspace(lo, hi, 7)[1:-1]:
-        if abs(float(r(t)) - t) > 1e-9 * scale:
-            raise NotJoinable(
-                f"stabilization violated at {label}: expected the already-"
-                f"joined chart to be the identity on the overlap"
-            )
+    ts = np.linspace(lo, hi, 7)[1:-1]
+    if np.max(np.abs(r(ts) - ts)) > 1e-9 * scale:
+        raise NotJoinable(
+            f"stabilization violated at {label}: expected the already-"
+            f"joined chart to be the identity on the overlap"
+        )
 
 
 def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
@@ -921,19 +846,13 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
             steps.append((lo, lo + 1))
 
     certs = tuple(verify_ck_numeric(r[i], k, tol) for i in range(m))
-    if tol is None:
-        tols = TOL_SCHEDULE[:k]
-    elif isinstance(tol, (int, float)):
-        tols = tuple(float(tol) for _ in range(k))
-    else:
-        tols = tuple(float(t) for t in tol)
     agg = SmoothCert(
         order=k,
         residuals=tuple(max(c.residuals[j] for c in certs) for j in range(k)),
         passed=all(c.passed for c in certs),
         grid=tuple(x for c in certs for x in c.grid),
         min_slope=min(c.min_slope for c in certs),
-        tolerances=tols,
+        tolerances=certs[0].tolerances,
     )
     chart = IntervalChart("collapsed", (imgs[0][0], imgs[-1][1]))
     return CollapseResult(chart, tuple(r[i] for i in range(m)), agg, certs,
@@ -958,23 +877,13 @@ def _derive_transition(u_chart: IntervalChart, v_chart: IntervalChart,
                        n: int = 128) -> NumericDiffeo:
     overlap = (v_chart.image[0], u_chart.image[1])
     u, v = u_chart.map, v_chart.map
-
-    def through(x: float) -> float:
-        t = x if u == "identity" else u.inverse()(x)
-        return t if v == "identity" else float(v(t))
-
     if u is None or v is None:
         raise DomainError(
             "cannot derive a transition without concrete chart maps; "
             "provide it explicitly"
         )
-    if u == "identity" and v == "identity":
-        fn = lambda x: float(x)
-    elif isinstance(u, NumericDiffeo):
-        uinv = u.inverse()
-        fn = (lambda x: float(v(uinv(x)))) if v != "identity" else (lambda x: float(uinv(x)))
-    else:
-        fn = through
+    u_inv = IdentityMap(overlap) if u == "identity" else u.inverse()
+    fn = u_inv if v == "identity" else ComposedMap(v, u_inv)
     return NumericDiffeo.from_function(fn, overlap, n=n)
 
 
@@ -1025,7 +934,7 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
 def _sample_map(r, domain, n: int = 65) -> list:
     lo, hi = domain
     xs = np.linspace(lo, hi, n + 2)[1:-1]
-    return [[float(x), float(r(x))] for x in xs]
+    return np.column_stack((xs, r(xs))).tolist()
 
 
 def collapse_to_json(result: CollapseResult, atlas: ChainAtlas,

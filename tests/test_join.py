@@ -18,7 +18,6 @@ from twoorigins.join import (
     NumericDiffeo,
     PiecewiseMonotone,
     TOL_SCHEDULE,
-    adaptive_simpson,
     bump_plateau,
     chain_from_json,
     collapse_chain,
@@ -28,6 +27,33 @@ from twoorigins.join import (
     join_charts,
     verify_ck_numeric,
 )
+
+
+def adaptive_simpson(f, a, b, tol=1e-10, depth=20):
+    """Reference integral of f over [a, b]: adaptive composite Simpson with
+    the Richardson correction term, down to 2**depth cells at the deepest."""
+    a, b = float(a), float(b)
+    if a == b:
+        return 0.0
+    if a > b:
+        return -adaptive_simpson(f, b, a, tol, depth)
+
+    def simp(l, r, fl, fm, fr):
+        return (r - l) / 6.0 * (fl + 4.0 * fm + fr)
+
+    def rec(l, r, fl, fm, fr, whole, budget, depth):
+        m = 0.5 * (l + r)
+        flm = f(0.5 * (l + m))
+        frm = f(0.5 * (m + r))
+        left = simp(l, m, fl, flm, fm)
+        right = simp(m, r, fm, frm, fr)
+        if depth <= 0 or abs(left + right - whole) <= 15.0 * budget:
+            return left + right + (left + right - whole) / 15.0
+        return (rec(l, m, fl, flm, fm, left, budget / 2.0, depth - 1)
+                + rec(m, r, fm, frm, fr, right, budget / 2.0, depth - 1))
+
+    fa, fm_, fb = f(a), f(0.5 * (a + b)), f(b)
+    return rec(a, b, fa, fm_, fb, simp(a, b, fa, fm_, fb), tol, depth)
 
 
 def quad_transition(a, b, lam):
@@ -176,6 +202,17 @@ def test_numeric_diffeo_inverse_roundtrip():
         assert abs(inv(d(math.sqrt(y))) - math.sqrt(y)) < 1e-12
 
 
+def test_numeric_diffeo_inverse_rounds_one_way():
+    # the inverse returns the least float whose image reaches y, so it is
+    # monotone at the last bit and seam certificates see no ulp jitter
+    fn = quad_transition(4.796875, 5.28125, -0.35)
+    d = NumericDiffeo.from_function(fn, (4.796875, 5.28125), n=256)
+    ys = np.linspace(4.8, 5.28, 997)
+    xs = d.inverse()(ys)
+    assert np.all(fn(xs) >= ys)
+    assert np.all(fn(np.nextafter(xs, -np.inf)) < ys)
+
+
 def test_numeric_diffeo_identity_detection():
     d = NumericDiffeo.from_function(lambda x: x, (2.0, 3.0), n=8)
     assert d.is_identity()
@@ -276,6 +313,26 @@ def test_glue_matches_zones_for_quadratic_family(lam):
     xs = np.linspace(2.001, 2.999, 101)
     ys = [p(x) for x in xs]
     assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+def test_glue_seam_one_ulp_from_a_grid_node():
+    # c - eps lands one ulp from a node of the 4096-cell glue grid; that node
+    # must give way to the seam, or the snapped samples stop increasing
+    images = [(0.014659640964973297, 2.0146596409649735),
+              (1.4484742195058764, 3.4484742195058766)]
+    lo, hi = images[1][0], images[0][1]
+    lam, mu = -0.01727386910829687, -0.006983259853746482
+    span = hi - lo
+
+    def bent(x):
+        t = (x - lo) / span
+        return lo + span * (t + t * (1.0 - t) * (lam + mu * (1.0 - 2.0 * t)))
+
+    g = NumericDiffeo.from_function(bent, (lo, hi), n=256)
+    p = glue_auto(g)
+    assert np.min(np.diff(p.xs)) > 1e-6 * span
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    assert collapse_chain(ChainAtlas(charts, (g,)), k=2, tol=1e-3).passed
 
 
 # -- certification --------------------------------------------------------------
@@ -463,6 +520,30 @@ def test_collapse_four_chart_chain():
             assert abs(res.transitions[i](x) - res.transitions[i + 1](g(x))) < 1e-9
 
 
+def test_collapse_smooth_chain_certifies_order_two():
+    # smooth transitions, so the collapsed chart must pass at order 2; with
+    # an inverse that jittered by an ulp the last seam's residual was 2.5e-3
+    images = [(0.171875, 2.171875), (1.71875, 3.71875), (3.28125, 5.28125),
+              (4.796875, 6.796875)]
+    params = [(0.13013423684567865, 0.21724588882098722),
+              (0.42750764456058393, 0.2382420470682582),
+              (-0.3499727697114822, -0.030023174456312418)]
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    transitions = []
+    for i, (lam, mu) in enumerate(params):
+        lo, hi = images[i + 1][0], images[i][1]
+        span = hi - lo
+
+        def bent(x, lo=lo, span=span, lam=lam, mu=mu):
+            t = (x - lo) / span
+            return lo + span * (t + t * (1.0 - t) * (lam + mu * (1.0 - 2.0 * t)))
+
+        transitions.append(NumericDiffeo.from_function(bent, (lo, hi), n=256))
+    res = collapse_chain(ChainAtlas(charts, tuple(transitions)), k=2, tol=1e-3)
+    assert res.passed
+    assert res.cert.residuals[1] < 1e-5
+
+
 def test_collapse_prefixes_failures_with_the_pair(monkeypatch):
     def boom(*args, **kwargs):
         raise GlueInfeasible("forced failure", eps=0.1, mass=-1.0)
@@ -473,6 +554,90 @@ def test_collapse_prefixes_failures_with_the_pair(monkeypatch):
     with pytest.raises(GlueInfeasible) as exc:
         collapse_chain(atlas)
     assert str(exc.value).startswith("joining charts 0 and 1:")
+
+
+def test_scalar_only_transition_rule():
+    # math.sin rejects arrays, so NumericDiffeo loops the rule point by point
+    g = NumericDiffeo.from_function(
+        lambda x: x + 0.3 * math.sin(math.pi * (x - 1.0)) ** 2, (1.0, 2.0), n=256
+    )
+    atlas = ChainAtlas(
+        (IntervalChart("u", (0.0, 2.0)), IntervalChart("v", (1.0, 3.0))), (g,)
+    )
+    res = collapse_chain(atlas, k=2, tol=1e-4)
+    assert res.passed
+    xs = np.linspace(1.1, 1.9, 9)
+    assert list(g(xs)) == [g(float(x)) for x in xs]
+
+
+# -- the map protocol: a float gives a float, a 1-D array an array --------------
+
+
+@pytest.fixture(scope="module")
+def protocol_maps():
+    """Every map kind, each with an interval inside its domain."""
+    g = overlap_transition(1.0, 2.0, 0.4)
+    atlas = four_chart_atlas()
+    res = collapse_chain(atlas, k=1)
+    maps = {
+        "identity": (IdentityMap((0.0, 1.0)), (0.0, 1.0)),
+        "affine": (AffineMap(2.0, -3.0), (-1.0, 1.0)),
+        "composed": (
+            ComposedMap(AffineMap(2.0, 0.0), AffineMap(1.0, 1.0, domain=(0.0, 1.0))),
+            (0.0, 1.0),
+        ),
+        "piecewise": (
+            PiecewiseMonotone(
+                (0.0, 1.0, 2.0),
+                (IdentityMap((0.0, 1.0)), AffineMap(2.0, -1.0, domain=(1.0, 2.0))),
+            ),
+            (0.0, 2.0),
+        ),
+        "numeric": (g, g.domain),
+        "interpolant": (NumericDiffeo.from_json(g.to_json()), g.domain),
+        "inverse": (g.inverse(), g.domain),
+        "glued": (glue_id_and_diff(g, 0.1, n=512), g.domain),
+        "plateau": (bump_plateau(0.0, 1.0, 2.0, 3.0), (-0.5, 3.5)),
+    }
+    for i, (r, chart) in enumerate(zip(res.transitions, atlas.charts)):
+        maps[f"collapsed_{i}"] = (r, chart.image)
+    return maps
+
+
+MAP_KINDS = ["identity", "affine", "composed", "piecewise", "numeric", "interpolant",
+             "inverse", "glued", "plateau"] + [f"collapsed_{i}" for i in range(4)]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_map_protocol_array_matches_pointwise(protocol_maps, kind):
+    m, (lo, hi) = protocol_maps[kind]
+    xs = np.linspace(lo, hi, 103)[1:-1]
+    got = m(xs)
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    singles = [m(float(x)) for x in xs]
+    assert all(type(v) is float for v in singles)
+    assert np.allclose(got, singles, rtol=1e-14, atol=0.0)
+
+
+def test_map_protocol_keeps_snapped_regions_exact():
+    g = x2_diffeo()
+    p = glue_id_and_diff(g, 0.1, n=512)
+    left = np.linspace(0.0, 0.1, 21)
+    right = np.linspace(0.9, 1.0, 21)
+    assert np.array_equal(p(left), left)
+    assert np.array_equal(p(right), right * right)
+    both = np.concatenate((left, np.linspace(0.2, 0.8, 7), right))
+    out = p(both)
+    assert np.array_equal(out[:21], left) and np.array_equal(out[-21:], right * right)
+
+    res = join_charts(
+        IntervalChart("U", (0.0, 2.0)), IntervalChart("V", (1.0, 3.0)),
+        overlap_transition(1.0, 2.0, 0.4), k=2,
+    )
+    far_u = np.linspace(0.05, 0.95, 19)
+    far_v = np.linspace(2.05, 2.95, 19)
+    assert np.array_equal(res.trans_u(far_u), far_u)
+    assert np.array_equal(res.trans_v(far_v), far_v)
 
 
 # -- JSON round trips ---------------------------------------------------------------
