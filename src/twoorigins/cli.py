@@ -204,17 +204,19 @@ def _cmd_structure(args) -> int:
     q = compose(g, invert(h))
     rep = smoothness_at_zero(q, args.k)
     payload = {
-        "same": {Tri.TRUE: "true", Tri.FALSE: "false",
-                 Tri.INDETERMINATE: "indeterminate"}[verdict],
+        "same": verdict.value,
         "k": args.k,
         "max_order": rep.max_order,
         "obstruction": _obstruction_payload(rep),
+        # same structures make q^-1 C^k by the inverse function theorem
+        "inverse_obstruction": None,
     }
-    try:
-        rep_inv = smoothness_at_zero(invert(q), args.k)
-        payload["inverse_obstruction"] = _obstruction_payload(rep_inv)
-    except DomainError:
-        payload["inverse_obstruction"] = None
+    if verdict is not Tri.TRUE:
+        try:
+            rep_inv = smoothness_at_zero(invert(q), args.k)
+            payload["inverse_obstruction"] = _obstruction_payload(rep_inv)
+        except DomainError:
+            pass
 
     if args.json:
         _print_json(payload)

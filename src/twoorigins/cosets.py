@@ -12,10 +12,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DomainError
-from .realnum import real_eq, to_real
+from .realnum import to_real
 
 #: Brute-force associativity checking is O(n^3); keep inputs desk-scale.
 MAX_GROUP_ORDER = 64
@@ -459,54 +458,40 @@ def classify_wa_pair(a, b, k: int = 1) -> PairClassification:
 
     Closed form: a=b=1 gives all four; a=b != 1 exactly fix+ and ex-;
     ab=1 with a != 1 exactly fix- and ex+; anything else is empty.
-    Decisions are exact on rational input, 1e-9 tolerance otherwise.
+    Parameters become exact Fractions, so every decision is exact. k is the
+    order asked for; the pattern is the same at every order.
     """
     av = _positive_real(a, "a")
     bv = _positive_real(b, "b")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    one = Fraction(1)
-    a_is_1 = real_eq(av, one)
-    b_is_1 = real_eq(bv, one)
-    same = real_eq(av, bv)
-    recip = real_eq(av * bv, one)
     nonempty = {c: False for c in CELLS}
     kind = {c: "" for c in CELLS}
-    if same:
+    if av == bv:
         nonempty["fix+"] = True
         kind["fix+"] = "identity"
         nonempty["ex-"] = True
         kind["ex-"] = "origin swap after the scaling reflection"
-    if recip:
+    if av * bv == 1:
         nonempty["fix-"] = True
         kind["fix-"] = "reflection"
         nonempty["ex+"] = True
         kind["ex+"] = "origin swap after the scaling map"
-    if a_is_1 and b_is_1:
-        # same and recip both hold; all four cells are already marked
-        assert all(nonempty.values())
     return PairClassification(av, bv, k, nonempty, kind)
 
 
 def intersection_type(a, b, k: int = 1) -> str:
     """Type of the overlap between the smooth germs and their w_b-w_a twist.
 
-    Both parameters 1: the whole diffeomorphism group. Exactly one equal 1:
-    empty. Otherwise JPlus when ab = 1, JMinus when a = b, else empty.
+    Read off the cells of classify_wa_pair: all four give the whole
+    diffeomorphism group, fix-/ex+ (ab = 1) give JPlus, fix+/ex- (a = b)
+    give JMinus, and no cell gives Empty.
     """
-    av = _positive_real(a, "a")
-    bv = _positive_real(b, "b")
-    if not isinstance(k, int) or k < 1:
-        raise DomainError(f"k must be a positive integer, got {k!r}")
-    one = Fraction(1)
-    a_is_1 = real_eq(av, one)
-    b_is_1 = real_eq(bv, one)
-    if a_is_1 and b_is_1:
+    cells = classify_wa_pair(a, b, k).nonempty
+    if all(cells.values()):
         return IntersectionType.FULL_D
-    if a_is_1 or b_is_1:
-        return IntersectionType.EMPTY
-    if real_eq(av * bv, one):
+    if cells["fix-"]:
         return IntersectionType.J_PLUS
-    if real_eq(av, bv):
+    if cells["fix+"]:
         return IntersectionType.J_MINUS
     return IntersectionType.EMPTY

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .cosets import CELLS, classify_wa_pair
 from .errors import DomainError, IncompatiblePresentations, InvalidAtlas
 from .germs import (
     Germ,
@@ -185,28 +186,15 @@ def is_orientable(atlas) -> bool:
 # ---------------------------------------------------------------------------
 # structure equivalence
 
-def _tri_in_diff(q: GermLike, k) -> Tri:
-    """Three-valued membership of q in the order-k diffeomorphism germs."""
-    rep = smoothness_at_zero(q, k)
-    if not rep.is_diffeo_ck:
-        return Tri.FALSE if rep.conclusive else Tri.INDETERMINATE
-    rep_inv = smoothness_at_zero(invert(q), k)
-    if not rep_inv.is_diffeo_ck:
-        return Tri.FALSE if rep_inv.conclusive else Tri.INDETERMINATE
-    if rep.conclusive and rep_inv.conclusive:
-        return Tri.TRUE
-    return Tri.INDETERMINATE
-
-
 def same_structure(h: GermLike, g: GermLike, k) -> Tri:
     """Whether the structures of P_h and P_g agree at order k.
 
-    Reduces to membership of g o h^-1 in the order-k diffeomorphism germs.
-    Numeric fallbacks cannot prove non-membership, hence the three-valued
-    answer.
+    They agree exactly when q = g o h^-1 lies in D. The verdict is read from
+    the order-k jet of q alone: C^k with a nonzero slope makes q^-1 C^k by
+    the inverse function theorem. It stays exact whenever q composes
+    exactly; numeric jets that cannot settle the order give INDETERMINATE.
     """
-    q = compose(g, invert(h))
-    return _tri_in_diff(q, k)
+    return smoothness_at_zero(compose(g, invert(h)), k).verdict
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +300,7 @@ def build_diffeo(a: GermLike, b, source: SpecialMinimalAtlas,
         if match is Tri.INDETERMINATE:
             certificate = Tri.INDETERMINATE
     for label, q in (("a", a), ("b", b)):
-        tri = _tri_in_diff(q, k)
+        tri = smoothness_at_zero(q, k).verdict
         if tri is Tri.FALSE:
             raise DomainError(
                 f"presentation {label} is not an order-{k} diffeomorphism germ"
@@ -411,15 +399,11 @@ def diffeo_classes(a, b, k: int = 1):
     Returns (classification, witnesses) where witnesses maps cell names to
     DiffeoL objects certified at order k.
     """
-    from .cosets import classify_wa_pair
-
     cls_ = classify_wa_pair(a, b, k)
     return cls_, _wa_witnesses(cls_, k)
 
 
 def classification_to_json(cls_, witnesses: dict[str, DiffeoL]) -> dict:
-    from .cosets import CELLS
-
     wit = []
     for cell in CELLS:
         if cell in witnesses:

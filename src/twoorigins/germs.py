@@ -296,6 +296,19 @@ class SmoothnessReport:
     #: False when a numeric path could not certify the failing order either way.
     conclusive: bool = True
 
+    @property
+    def verdict(self) -> Tri:
+        """Three-valued membership in D at order_checked.
+
+        A germ that is C^k at 0 with a nonzero slope has a C^k inverse by the
+        inverse function theorem, so is_diffeo_ck alone decides membership:
+        TRUE when it holds, FALSE when the report settled that it fails,
+        INDETERMINATE when a numeric path could not settle it.
+        """
+        if self.is_diffeo_ck:
+            return Tri.TRUE
+        return Tri.FALSE if self.conclusive else Tri.INDETERMINATE
+
 
 # ---------------------------------------------------------------------------
 # constructors
@@ -660,20 +673,21 @@ def _normalize_order(k) -> tuple[int, bool]:
 def smoothness_at_zero(h: GermLike, k) -> SmoothnessReport:
     """Largest order through which the two one-sided jets exist and agree.
 
-    is_diffeo_ck additionally requires a nonzero first derivative. On the
-    numeric path the report is marked inconclusive when the failing order
-    could not be certified either way (estimates neither converged nor
-    cleanly diverged, or the order exceeds the numeric cap).
+    is_diffeo_ck additionally requires a nonzero first derivative, read from
+    the order-1 entry of the same jets; by the inverse function theorem it
+    then certifies membership in D, with no look at the inverse (see
+    SmoothnessReport.verdict). On the numeric path the report is marked
+    inconclusive when the failing order could not be certified either way
+    (estimates neither converged nor cleanly diverged, or the order exceeds
+    the numeric cap).
     """
     keff, capped = _normalize_order(k)
     if isinstance(h, Germ):
-        negs = one_sided_jet(h, keff, "neg")
-        poss = one_sided_jet(h, keff, "pos")
-        max_order, obstruction = _match_orders(
-            [("ok", v, None) if v is not NONEXISTENT else ("nonexistent", None, None) for v in negs],
-            [("ok", v, None) if v is not NONEXISTENT else ("nonexistent", None, None) for v in poss],
-            exact=True,
-        )
+        dn, dp = (
+            [("ok", v, None) if v is not NONEXISTENT else ("nonexistent", None, None)
+             for v in one_sided_jet(h, keff, side)]
+            for side in ("neg", "pos"))
+        max_order, obstruction = _match_orders(dn, dp, exact=True)
         conclusive = True
     else:
         dn = _numeric_side_jet(h, keff, "neg")
@@ -695,12 +709,11 @@ def smoothness_at_zero(h: GermLike, k) -> SmoothnessReport:
                 if gap < max(10.0 * (en + ep), 1e-3 * scale):
                     conclusive = False
     if max_order >= 1:
+        _, v, e = dp[0]
         if isinstance(h, Germ):
-            first = one_sided_jet(h, 1, "pos")[0]
-            nonzero_slope = first is not NONEXISTENT and not real_eq(first, Fraction(0))
+            nonzero_slope = not real_eq(v, Fraction(0))
         else:
-            s, v, e = _numeric_side_jet(h, 1, "pos")[0]
-            nonzero_slope = s == "ok" and abs(v) > max(1e-6, 3.0 * (e or 0.0))
+            nonzero_slope = abs(v) > max(1e-6, 3.0 * (e or 0.0))
     else:
         nonzero_slope = False
     return SmoothnessReport(
@@ -786,17 +799,14 @@ def sandwich_smoothness(f: Jet, a, b, n: int) -> SmoothnessReport:
 # membership predicates
 
 def in_diff(h: GermLike, k) -> bool:
-    """Certified membership in the C^k diffeomorphisms fixing 0.
+    """Certified membership in D, the C^k diffeomorphism germs fixing 0.
 
-    Checks the smoothness report of h and of its inverse (the numeric inverse
-    cannot be assumed smooth just because h is). False means "not certified";
-    use smoothness_at_zero directly when the inconclusive case matters.
+    h is in D exactly when it is C^k at 0 with a nonzero slope: the inverse
+    function theorem then makes h^-1 C^k too, so the inverse is never built.
+    False means "not certified"; SmoothnessReport.verdict keeps the
+    inconclusive case apart.
     """
-    rep = smoothness_at_zero(h, k)
-    if not rep.is_diffeo_ck:
-        return False
-    rep_inv = smoothness_at_zero(invert(h), k)
-    return rep_inv.is_diffeo_ck
+    return smoothness_at_zero(h, k).is_diffeo_ck
 
 
 def in_jdiff(h: GermLike, k) -> bool:

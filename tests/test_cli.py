@@ -1,12 +1,17 @@
 """End-to-end CLI tests through run(); exit codes are part of the contract."""
 
+import ast
 import json
+from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from twoorigins import cli, join
 from twoorigins.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, run
 from twoorigins.cosets import FiniteGroup
+from twoorigins.germs import compose, germ_to_json, poly_germ
 from twoorigins.join import NumericDiffeo
 
 
@@ -193,6 +198,32 @@ def test_structure_same_negative_cites_slopes(write, capsys):
     assert payload["inverse_obstruction"] == {"order": 1, "neg": 1.0, "pos": 2.0}
 
 
+def test_structure_same_reads_the_forward_jet(write, capsys):
+    # g o h^-1 = x + |x|^(5/2) sign(x) is C^2 with slope 1: the same C^2
+    # structure, so the inverse has no obstruction to report
+    gid = write("id.json", wa_json(1))
+    w52 = write("w52.json", {
+        "neg": [{"c": -1, "e": 1}, {"c": -1, "e": 2.5}],
+        "pos": [{"c": 1, "e": 1}, {"c": 1, "e": 2.5}],
+        "orientation": "preserving",
+    })
+    assert run(["structure", "same", "--h", gid, "--g", w52, "--k", "2", "--json"]) == EXIT_OK
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "true"
+    assert payload["max_order"] == 2
+    assert payload["inverse_obstruction"] is None
+
+
+def test_structure_same_fold_witness(write, capsys):
+    # q = x + x^2 folds back at x = -1/2, but (q o p) o p^-1 = q is smooth
+    p = poly_germ({1: 1, 2: 1, 3: Fraction(1, 3)})
+    qp = compose(poly_germ({1: 1, 2: 1}), p)
+    hp = write("p.json", germ_to_json(p))
+    gqp = write("qp.json", germ_to_json(qp))
+    assert run(["structure", "same", "--h", hp, "--g", gqp, "--k", "3"]) == EXIT_OK
+    assert "same C^3 structure: true" in capsys.readouterr().out
+
+
 def test_structure_same_human_readout(write, capsys):
     g2 = write("w2.json", wa_json(2))
     gid = write("id.json", wa_json(1))
@@ -326,3 +357,23 @@ def test_unknown_command_is_input_error(capsys):
 
 def test_missing_required_flag_is_input_error(capsys):
     assert run(["classify", "--a", "2"]) == EXIT_INPUT
+
+
+# -- the benchmark's import surface ---------------------------------------------------
+
+TRACED_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "traced_cli.py"
+
+
+def test_benchmark_wraps_names_the_cli_still_has():
+    # the traced benchmark run wraps these names on the CLI module; read them
+    # from its source so no benchmark code is imported here
+    if not TRACED_CLI.exists():
+        pytest.skip("perfbench/ is not present")
+    tree = ast.parse(TRACED_CLI.read_text(encoding="utf-8"))
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "WRAPPED" for t in node.targets))
+    names = [name for layer in wrapped.values() for name in layer]
+    assert names
+    assert [n for n in names if not hasattr(cli, n)] == []
+    assert "glue_auto" in vars(join)

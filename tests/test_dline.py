@@ -33,6 +33,7 @@ from twoorigins.germs import (
     Germ,
     NumericGerm,
     Tri,
+    compose,
     flip_germ,
     germ_equal,
     identity_germ,
@@ -129,6 +130,21 @@ def test_same_structure_inconclusive_numeric_band():
 
 def test_smoothly_related_structures_match():
     assert same_structure(identity_germ(), poly_germ({1: 1, 3: 1}), 1) is Tri.TRUE
+
+
+def test_same_structure_from_the_jet_of_the_transition():
+    # g o h^-1 = x + |x|^(5/2) sign(x): C^2 with slope 1, so the same C^2
+    # structure although the inverse's numeric jet cannot show it
+    w52 = Germ.from_sides([(-1, 1), (-1, F(5, 2))], [(1, 1), (1, F(5, 2))])
+    assert same_structure(identity_germ(), w52, 2) is Tri.TRUE
+    assert same_structure(identity_germ(), w52, 3) is Tri.FALSE
+
+
+def test_same_structure_fold_witness():
+    # q = x + x^2 folds back at x = -1/2, but (q o p) o p^-1 = q is smooth
+    p = poly_germ({1: 1, 2: 1, 3: F(1, 3)})
+    q = poly_germ({1: 1, 2: 1})
+    assert same_structure(p, compose(q, p), 3) is Tri.TRUE
 
 
 # -- building diffeomorphisms -------------------------------------------------

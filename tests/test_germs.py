@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from twoorigins import germs
 from twoorigins.errors import DomainError
 from twoorigins.germs import (
     K_MAX,
@@ -237,6 +238,40 @@ def test_in_diff_and_in_jdiff():
     assert not in_jdiff(h, 3)
     assert not in_jdiff(make_wa(2), 1)
     assert in_jdiff(identity_germ(), K_MAX)
+
+
+def test_in_diff_follows_the_inverse_function_theorem():
+    # x + |x|^(5/2) sign(x) is C^2 with slope 1, so its inverse is C^2 too
+    q = Germ.from_sides([(-1, 1), (-1, F(5, 2))], [(1, 1), (1, F(5, 2))])
+    assert in_diff(q, 2)
+    assert smoothness_at_zero(q, 2).verdict is Tri.TRUE
+    r = smoothness_at_zero(q, 3)
+    assert not in_diff(q, 3)
+    assert r.verdict is Tri.FALSE and r.obstruction.order == 3
+
+
+def test_in_diff_of_an_exact_germ_stays_exact(monkeypatch):
+    def no_numeric_inverse(h):
+        raise AssertionError("in_diff inverted the germ it decides")
+
+    monkeypatch.setattr(germs, "_numeric_invert", no_numeric_inverse)
+    assert in_diff(poly_germ({1: 1, 2: 1, 3: 1}), 3)
+
+
+def test_numeric_report_makes_one_richardson_run_per_side_and_order(monkeypatch):
+    calls = []
+    richardson = germs._richardson
+
+    def counting(fn, j, side):
+        calls.append((j, side))
+        return richardson(fn, j, side)
+
+    monkeypatch.setattr(germs, "_richardson", counting)
+    ng = NumericGerm(lambda x: x + x ** 3, "preserving")
+    for k in (1, 2, 3):
+        calls.clear()
+        assert smoothness_at_zero(ng, k).is_diffeo_ck
+        assert sorted(calls) == [(j, side) for j in range(1, k + 1) for side in ("neg", "pos")]
 
 
 def test_fixed_near_zero_exact_and_numeric():
