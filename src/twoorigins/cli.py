@@ -150,12 +150,13 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_germ(args) -> int:
-    if args.germ_op == "compose":
-        g = _germ_arg(args.g)
-        h = _germ_arg(args.h)
-        out = compose(g, h)
+    if args.germ_op != "jet":
+        if args.germ_op == "compose":
+            out, what = compose(_germ_arg(args.g), _germ_arg(args.h)), "composite"
+        else:
+            out, what = invert(_germ_arg(args.h)), "inverse"
         if isinstance(out, NumericGerm):
-            print("the composite is not closed-form representable; its jets "
+            print(f"the {what} is not closed-form representable; its jets "
                   "are only available numerically", file=sys.stderr)
             return EXIT_NUMERIC
         if args.json:
@@ -163,19 +164,6 @@ def _cmd_germ(args) -> int:
         else:
             print(_germ_text(out))
         return EXIT_OK
-    if args.germ_op == "invert":
-        h = _germ_arg(args.h)
-        out = invert(h)
-        if isinstance(out, NumericGerm):
-            print("the inverse is not closed-form representable; its jets "
-                  "are only available numerically", file=sys.stderr)
-            return EXIT_NUMERIC
-        if args.json:
-            _print_json(germ_to_json(out))
-        else:
-            print(_germ_text(out))
-        return EXIT_OK
-    # jet
     h = _germ_arg(args.h)
     jet = jet_of(h, args.order)
     if args.json:
@@ -420,6 +408,10 @@ def run(argv) -> int:
         return EXIT_NEGATIVE
     except DomainError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except OverflowError as exc:
+        # here only a float conversion overflows: the input is too large
+        print(f"input error: {exc}; a value is out of float range", file=sys.stderr)
         return EXIT_INPUT
     except TwoOriginsError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,8 +10,7 @@ both chart presentations certified smooth at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import dataclass
 
 from .cosets import CELLS, classify_wa_pair
 from .errors import DomainError, IncompatiblePresentations, InvalidAtlas
@@ -20,12 +19,10 @@ from .germs import (
     GermLike,
     NumericGerm,
     PRESERVING,
-    REVERSING,
     Tri,
     compose,
     evaluate,
     flip_germ,
-    germ_equal,
     germ_from_json,
     germ_match,
     germ_to_json,

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence, Union
 
 from . import _numerics
 from .errors import DomainError
-from .realnum import REAL_TOL, Real, as_float, is_integral, real_eq, real_pow, to_real
+from .realnum import REAL_TOL, Real, is_integral, real_eq, real_pow, to_real
 
 #: Hard cap on jet orders; "infinite" smoothness requests are evaluated here
 #: and the report carries capped=True.
@@ -681,6 +681,12 @@ def smoothness_at_zero(h: GermLike, k) -> SmoothnessReport:
     (estimates neither converged nor cleanly diverged, or the order exceeds
     the numeric cap).
     """
+    return _smoothness(h, k)[0]
+
+
+def _smoothness(h: GermLike, k) -> tuple[SmoothnessReport, list, list]:
+    """smoothness_at_zero's report with the neg and pos jets it read, each a
+    list of per-order (status, value, err) rows."""
     keff, capped = _normalize_order(k)
     if isinstance(h, Germ):
         dn, dp = (
@@ -723,7 +729,7 @@ def smoothness_at_zero(h: GermLike, k) -> SmoothnessReport:
         order_checked=keff,
         capped=capped,
         conclusive=conclusive,
-    )
+    ), dn, dp
 
 
 def _match_orders(dn, dp, exact: bool):
@@ -810,22 +816,12 @@ def in_diff(h: GermLike, k) -> bool:
 
 
 def in_jdiff(h: GermLike, k) -> bool:
-    """Membership in the subgroup with vanishing derivatives 2..k at 0."""
-    if not in_diff(h, k):
-        return False
-    keff, _ = _normalize_order(k)
-    for side in ("neg", "pos"):
-        coeffs = one_sided_jet(h, keff, side)
-        for j in range(2, keff + 1):
-            c = coeffs[j - 1]
-            if c is NONEXISTENT:
-                return False
-            if isinstance(h, Germ):
-                if not real_eq(c, Fraction(0)):
-                    return False
-            elif abs(float(c)) > 1e-6:
-                return False
-    return True
+    """Membership in the subgroup with vanishing derivatives 2..k at 0, read
+    from the jets of the membership report in D (all exist there)."""
+    report, dn, dp = _smoothness(h, k)
+    exact = isinstance(h, Germ)
+    return report.is_diffeo_ck and all(
+        real_eq(c, Fraction(0)) if exact else abs(float(c)) <= 1e-6 for _, c, _ in dn[1:] + dp[1:])
 
 
 def fixed_near_zero(h: GermLike, radius) -> bool:

@@ -34,6 +34,8 @@ TOL_SCHEDULE = (1e-6, 1e-5, 1e-3, 1e-2)
 
 _IDENTITY_TOL = 1e-12
 _ENDPOINT_TOL = 1e-9
+#: Cells of the interior grid on which verify_ck_numeric reads the slope.
+_SLOPE_GRID = 32
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +385,9 @@ class NumericDiffeo:
         inv_seams = tuple(sorted(float(self(s)) for s in self.seams))
         return NumericDiffeo(tuple(ys), tuple(xs), underlying=inv, seams=inv_seams)
 
-    def is_identity(self, tol: float = _IDENTITY_TOL) -> bool:
+    def is_identity(self) -> bool:
         scale = max(1.0, abs(self.xs[0]), abs(self.xs[-1]))
-        return all(abs(y - x) <= tol * scale for x, y in zip(self.xs, self.ys))
+        return all(abs(y - x) <= _IDENTITY_TOL * scale for x, y in zip(self.xs, self.ys))
 
     def to_json(self) -> dict:
         return {"samples": [[x, y] for x, y in zip(self.xs, self.ys)],
@@ -623,16 +625,9 @@ class SmoothCert:
         }
 
 
-def verify_ck_numeric(map_obj, k: int, tol=None, grid_n: int = 32) -> SmoothCert:
-    """Numeric order-k certificate for a monotone map with seams.
-
-    At every interior seam the one-sided derivative estimates of orders 1..k
-    must agree within the per-order tolerance (relative to max(1, |value|)),
-    and no first-derivative estimate anywhere (seams or the dyadic interior
-    grid) may be significantly negative: slope > -tol_1, which deliberately
-    admits maps with a vanishing one-sided slope at a seam. Failures are
-    reported, never raised.
-    """
+def _tolerances(k: int, tol) -> tuple:
+    """Per-order tolerances of an order-k certificate from None (the default
+    schedule), one flat value or one value per order; DomainError if bad."""
     cap = _numerics.ORDER_CAP
     if not isinstance(k, int) or not (1 <= k <= cap):
         raise DomainError(f"numeric certification is capped at order {cap}, got {k!r}")
@@ -646,17 +641,30 @@ def verify_ck_numeric(map_obj, k: int, tol=None, grid_n: int = 32) -> SmoothCert
             raise DomainError(f"need {k} tolerances, got {len(tols)}")
     if any(t <= 0.0 for t in tols):
         raise DomainError(f"tolerances must be positive, got {tols}")
+    return tols
 
+
+def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
+    """Numeric order-k certificate for a monotone map with seams.
+
+    At every interior seam the one-sided derivative estimates of orders 1..k
+    must agree within the per-order tolerance (relative to max(1, |value|)),
+    and no first-derivative estimate anywhere (seams or the dyadic interior
+    grid) may be significantly negative: slope > -tol_1, which deliberately
+    admits maps with a vanishing one-sided slope at a seam. Failures are
+    reported, never raised.
+    """
+    tols = _tolerances(k, tol)
     lo, hi = map_obj.domain
     span = hi - lo
     seams = sorted(s for s in getattr(map_obj, "seams", ()) if lo < s < hi)
 
     min_slope = math.inf
     # grid slopes, nudged off any seam
-    grid = lo + span * np.arange(1, grid_n) / grid_n
+    grid = lo + span * np.arange(1, _SLOPE_GRID) / _SLOPE_GRID
     if seams:
-        near = np.min(np.abs(grid[:, None] - np.array(seams)), axis=1) < span / (4 * grid_n)
-        grid = np.where(near, grid + span / (2 * grid_n), grid)
+        near = np.min(np.abs(grid[:, None] - np.array(seams)), axis=1) < span / (4 * _SLOPE_GRID)
+        grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
     grid = grid[(lo < grid) & (grid < hi)]
     if grid.size:
         min_slope = float(np.min(_central_slope(map_obj, grid, lo, hi)))
@@ -715,8 +723,28 @@ class JoinResult:
         return self.cert_u.passed and self.cert_v.passed
 
 
+def _join_maps(u_image: tuple, v_image: tuple, g: NumericDiffeo, n: int = 4096) -> tuple:
+    """P, Q and the glue report (None for an identity g) of the join of images
+    (a, c) and (b, d) along g; the caller checks the inputs and certifies."""
+    a, c = u_image
+    b, d = v_image
+    if g.is_identity():
+        return IdentityMap((a, c)), IdentityMap((b, d)), None
+
+    p = glue_auto(g, n=n)
+    eps = p.glue.eps
+    P = PiecewiseMonotone((a, b + eps, c - eps, c),
+                          (IdentityMap((a, b + eps)), p, g))
+    y1 = float(g(b + eps))
+    y2 = float(g(c - eps))
+    q_mid = ComposedMap(p, g.inverse(), seams=(y1, y2))
+    Q = PiecewiseMonotone((b, y2, d), (q_mid, IdentityMap((y2, d))),
+                          extra_seams=(y1,))
+    return P, Q, p.glue
+
+
 def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
-                k: int = 2, n: int = 4096, tol=None) -> JoinResult:
+                k: int = 2, tol=None) -> JoinResult:
     """Join two overlapping charts along the transition g.
 
     Interleaving a < b < c < d of the images is required; g must be an
@@ -732,28 +760,11 @@ def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
             f"images must interleave a < b < c < d, got a={a}, b={b}, c={c}, d={d}"
         )
     _check_transition(g, (b, c), "transition")
+    tols = _tolerances(k, tol)
 
-    label = f"{U.label}|{V.label}"
-    chart = IntervalChart(label, (a, d))
-    if g.is_identity():
-        P = IdentityMap((a, c))
-        Q = IdentityMap((b, d))
-        cert_u = verify_ck_numeric(P, k, tol)
-        cert_v = verify_ck_numeric(Q, k, tol)
-        return JoinResult(chart, P, Q, cert_u, cert_v, None)
-
-    p = glue_auto(g, n=n)
-    eps = p.glue.eps
-    P = PiecewiseMonotone((a, b + eps, c - eps, c),
-                          (IdentityMap((a, b + eps)), p, g))
-    y1 = float(g(b + eps))
-    y2 = float(g(c - eps))
-    q_mid = ComposedMap(p, g.inverse(), seams=(y1, y2))
-    Q = PiecewiseMonotone((b, y2, d), (q_mid, IdentityMap((y2, d))),
-                          extra_seams=(y1,))
-    cert_u = verify_ck_numeric(P, k, tol)
-    cert_v = verify_ck_numeric(Q, k, tol)
-    return JoinResult(chart, P, Q, cert_u, cert_v, p.glue)
+    P, Q, glue = _join_maps(U.image, V.image, g)
+    return JoinResult(IntervalChart(f"{U.label}|{V.label}", (a, d)), P, Q,
+                      verify_ck_numeric(P, k, tols), verify_ck_numeric(Q, k, tols), glue)
 
 
 # ---------------------------------------------------------------------------
@@ -796,63 +807,56 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
     (the strict no-triple-overlap condition guarantees each join's
     modification strip stays clear of earlier charts). Per-chart transitions
     r_i into the final chart are accumulated; each r_i is wrapped at most
-    once per neighbor and then stays bit-stable.
+    once per neighbor and then stays bit-stable. The atlas has checked the
+    overlaps and transitions; each final r_i is certified once, at the end.
     """
-    charts = atlas.charts
+    tols = _tolerances(k, tol)
     transitions = atlas.transitions
-    m = len(charts)
-    imgs = [ch.image for ch in charts]
+    imgs = [ch.image for ch in atlas.charts]
+    m = len(imgs)
 
     lo = (m - 1) // 2
     hi = lo + 1
     steps = []
 
-    def attempt(i, U, V, g):
+    def attempt(i, u_image, v_image):
         try:
-            return join_charts(U, V, g, k=k, n=n, tol=tol)
-        except (NotJoinable, GlueInfeasible, DomainError) as exc:
+            return _join_maps(u_image, v_image, transitions[i], n)
+        except (GlueInfeasible, DomainError) as exc:
             exc.args = (f"joining charts {i} and {i + 1}: {exc.args[0]}",) + exc.args[1:]
             raise
 
-    res = attempt(lo, charts[lo], charts[hi], transitions[lo])
-    r = {lo: res.trans_u, hi: res.trans_v}
+    P, Q, _ = attempt(lo, imgs[lo], imgs[hi])
+    r = {lo: P, hi: Q}
     block = (imgs[lo][0], imgs[hi][1])
     steps.append((lo, hi))
 
     while lo > 0 or hi < m - 1:
         if hi < m - 1:
             j = hi + 1
-            overlap = (imgs[j][0], imgs[hi][1])
-            _probe_identity(r[hi], overlap, f"charts {hi}/{j}")
-            res = attempt(hi, IntervalChart("block", block), charts[j], transitions[hi])
-            r[j] = res.trans_v
-            r[hi] = ComposedMap(res.trans_u, r[hi],
-                                seams=tuple(sorted(set(r[hi].seams)
-                                                   | set(res.trans_u.seams))))
+            _probe_identity(r[hi], (imgs[j][0], imgs[hi][1]), f"charts {hi}/{j}")
+            P, r[j], _ = attempt(hi, block, imgs[j])
+            r[hi] = ComposedMap(P, r[hi], seams=tuple(sorted(set(r[hi].seams) | set(P.seams))))
             block = (block[0], imgs[j][1])
             hi = j
             steps.append((hi - 1, hi))
         if lo > 0:
             j = lo - 1
-            overlap = (imgs[lo][0], imgs[j][1])
-            _probe_identity(r[lo], overlap, f"charts {j}/{lo}")
-            res = attempt(j, charts[j], IntervalChart("block", block), transitions[j])
-            r[j] = res.trans_u
-            r[lo] = ComposedMap(res.trans_v, r[lo],
-                                seams=tuple(sorted(set(r[lo].seams)
-                                                   | set(res.trans_v.seams))))
+            _probe_identity(r[lo], (imgs[lo][0], imgs[j][1]), f"charts {j}/{lo}")
+            r[j], Q, _ = attempt(j, imgs[j], block)
+            r[lo] = ComposedMap(Q, r[lo], seams=tuple(sorted(set(r[lo].seams) | set(Q.seams))))
             block = (imgs[j][0], block[1])
             lo = j
             steps.append((lo, lo + 1))
 
-    certs = tuple(verify_ck_numeric(r[i], k, tol) for i in range(m))
+    certs = tuple(verify_ck_numeric(r[i], k, tols) for i in range(m))
     agg = SmoothCert(
         order=k,
         residuals=tuple(max(c.residuals[j] for c in certs) for j in range(k)),
         passed=all(c.passed for c in certs),
         grid=tuple(x for c in certs for x in c.grid),
         min_slope=min(c.min_slope for c in certs),
-        tolerances=certs[0].tolerances,
+        tolerances=tols,
     )
     chart = IntervalChart("collapsed", (imgs[0][0], imgs[-1][1]))
     return CollapseResult(chart, tuple(r[i] for i in range(m)), agg, certs,

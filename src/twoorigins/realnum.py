@@ -93,13 +93,17 @@ def _fraction_root(f: Fraction, q: int) -> Fraction | None:
 
 
 def _int_root(n: int, q: int) -> int | None:
-    if n < 0:
-        return None
-    r = round(n ** (1.0 / q))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** q == n:
-            return cand
-    return None
+    """Exact q-th root of an integer, or None; integer Newton from above."""
+    if n < 2:
+        return n if n >= 0 else None
+    if q >= n.bit_length():
+        return None  # 1 < root < 2
+    x = 1 << -(-n.bit_length() // q)  # a power of two past the root
+    while True:
+        y = ((q - 1) * x + n // x ** (q - 1)) // q
+        if y >= x:
+            return x if x ** q == n else None
+        x = y
 
 
 def real_sqrt(x: Real) -> Real:

@@ -136,6 +136,12 @@ def test_classify_rejects_garbage_number(capsys):
     assert run(["classify", "--a", "two", "--b", "3"]) == EXIT_INPUT
 
 
+def test_classify_takes_numbers_past_float_range(capsys):
+    # w_a cells need only exact rationals, so 1e400 is no input error
+    assert run(["classify", "--a", "1e400", "--b", "1e-400"]) == EXIT_OK
+    assert "intersection_type" in capsys.readouterr().out
+
+
 # -- germ algebra ---------------------------------------------------------------
 
 
@@ -162,6 +168,20 @@ def test_germ_invert(write, capsys):
 
     cubic = write("cubic.json", CUBIC)
     assert run(["germ", "invert", "--h", cubic]) == EXIT_NUMERIC
+
+
+def test_germ_compose_past_float_range_is_input_error(write, capsys):
+    # 3^1000000 is an exact coefficient of the composite, but no float
+    g = write("big.json", {
+        "neg": [{"c": -1, "e": 1}, {"c": -1, "e": 1000000}],
+        "pos": [{"c": 1, "e": 1}, {"c": 1, "e": 1000000}],
+        "orientation": "preserving",
+    })
+    h = write("w3.json", {"neg": [{"c": -3, "e": 1}], "pos": [{"c": 3, "e": 1}],
+                          "orientation": "preserving"})
+    assert run(["germ", "compose", "--g", g, "--h", h]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "out of float range" in err
 
 
 def test_germ_jet(write, capsys):
@@ -247,6 +267,14 @@ def test_psi_selfcheck_passes(capsys):
 
 def test_psi_rejects_nonpositive(capsys):
     assert run(["psi", "--a", "0"]) == EXIT_INPUT
+
+
+@pytest.mark.parametrize("a", ["2e400", "1e400"])
+def test_psi_past_float_range_is_input_error(a, capsys):
+    # 1e400 has an exact square root, but the payload holds float(a)
+    assert run(["psi", "--a", a]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "out of float range" in err
 
 
 # -- join and verify -----------------------------------------------------------------

@@ -37,6 +37,7 @@ from twoorigins.germs import (
     sandwich_smoothness,
     smoothness_at_zero,
 )
+from twoorigins.realnum import real_pow, real_sqrt
 
 # Dyadic rationals survive the float round trip in JSON exactly.
 dyadics = st.integers(-64, 64).flatmap(
@@ -272,6 +273,29 @@ def test_numeric_report_makes_one_richardson_run_per_side_and_order(monkeypatch)
         calls.clear()
         assert smoothness_at_zero(ng, k).is_diffeo_ck
         assert sorted(calls) == [(j, side) for j in range(1, k + 1) for side in ("neg", "pos")]
+
+
+def test_in_jdiff_reads_each_numeric_jet_once(monkeypatch):
+    calls = []
+    richardson = germs._richardson
+
+    def counting(fn, j, side):
+        calls.append((j, side))
+        return richardson(fn, j, side)
+
+    monkeypatch.setattr(germs, "_richardson", counting)
+    ng = NumericGerm(lambda x: x + x ** 3, "preserving")
+    assert in_jdiff(ng, 2)
+    calls.clear()
+    # the third derivative is 6: in D, but not 3-flat
+    assert not in_jdiff(ng, 3)
+    assert sorted(calls) == [(j, side) for j in range(1, 4) for side in ("neg", "pos")]
+
+
+def test_real_sqrt_is_exact_past_float_range():
+    assert real_sqrt(F(10**400)) == 10**200
+    assert real_pow(F(8 * 10**600, 27), F(2, 3)) == F(4 * 10**400, 9)
+    assert isinstance(real_pow(F(2 * 10**300), F(1, 2)), float)
 
 
 def test_fixed_near_zero_exact_and_numeric():

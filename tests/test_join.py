@@ -556,6 +556,32 @@ def test_collapse_prefixes_failures_with_the_pair(monkeypatch):
     assert str(exc.value).startswith("joining charts 0 and 1:")
 
 
+def test_collapse_certifies_each_chart_once(monkeypatch):
+    # one certificate per input chart's final transition, none per join
+    certified = []
+    verify = join_mod.verify_ck_numeric
+
+    def counted(map_obj, k, tol=None):
+        certified.append(map_obj)
+        return verify(map_obj, k, tol)
+
+    monkeypatch.setattr(join_mod, "verify_ck_numeric", counted)
+    res = collapse_chain(four_chart_atlas(), k=2, tol=1e-4)
+    assert res.passed
+    assert len(certified) == 4
+    assert certified == list(res.transitions)
+
+
+@pytest.mark.parametrize("k, tol", [(5, None), (0, None), (2, -1.0), (2, (1e-3,))])
+def test_collapse_rejects_order_and_tolerance_before_gluing(monkeypatch, k, tol):
+    def boom(*args, **kwargs):
+        raise AssertionError("glued before k and tol were checked")
+
+    monkeypatch.setattr(join_mod, "glue_auto", boom)
+    with pytest.raises(DomainError):
+        collapse_chain(four_chart_atlas(), k=k, tol=tol)
+
+
 def test_scalar_only_transition_rule():
     # math.sin rejects arrays, so NumericDiffeo loops the rule point by point
     g = NumericDiffeo.from_function(
