@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from . import _numerics
 from .errors import DomainError, GlueInfeasible, NotJoinable
@@ -72,6 +71,50 @@ def _central_slope(f: Callable, xs: np.ndarray, lo: float, hi: float) -> np.ndar
     nodes = np.concatenate((xs + 2 * h, xs + h, xs - h, xs - 2 * h))
     f2, f1, m1, m2 = np.asarray(f(nodes), dtype=float).reshape(4, -1)
     return (-f2 + 8 * f1 - 8 * m1 + m2) / (12 * h)
+
+
+# ---------------------------------------------------------------------------
+# the monotone cubic
+
+def _monotone_cubic(xs: np.ndarray, ys: np.ndarray) -> tuple:
+    """Value and slope rules of the Fritsch-Butland monotone cubic through
+    strictly monotone samples (Fritsch & Carlson 1980, Fritsch & Butland
+    1984), computed in scipy's PchipInterpolator order so both agree to the
+    bit. Strict monotonicity leaves out PCHIP's flat and sign-change cases.
+    Samples whose steps overflow the float range raise DomainError."""
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = np.diff(xs)
+        m = np.diff(ys) / h
+        d = np.empty_like(ys)
+        # interior: the weighted harmonic mean of the neighbouring secants; a
+        # secant that underflows to 0 makes it 0, as PCHIP's flat case does
+        w1, w2 = 2 * h[1:] + h[:-1], h[1:] + 2 * h[:-1]
+        d[1:-1] = 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2))
+        # ends: the one-sided three-point slope, 0 where it turns against the secant
+        h0, h1, m0, m1 = h[[0, -1]], h[[1, -2]], m[[0, -1]], m[[1, -2]]
+        ends = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        d[[0, -1]] = np.where(np.sign(ends) == np.sign(m0), ends, 0.0)
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        coef = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], ys[:-1]])
+        slope_coef = coef[:-1] * np.array([[3.0], [2.0], [1.0]])
+    # the samples are finite, so this covers every coefficient
+    if not np.all(np.isfinite(slope_coef)):
+        raise DomainError("sample steps too large: the interpolant overflows")
+    return (functools.partial(_piecewise_poly, xs, coef),
+            functools.partial(_piecewise_poly, xs, slope_coef))
+
+
+def _piecewise_poly(xs: np.ndarray, coef: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Evaluate the cubic pieces coef (highest power first, one column per
+    cell of xs) at q, extending the end pieces outside; the terms are summed
+    lowest power first with a running power of s, as scipy's PPoly does."""
+    i = np.searchsorted(xs[1:-1], q, side="right")  # the cell; the end cells extend
+    s = q - xs[i]
+    out, z = 0.0 + coef[-1][i], np.ones_like(s)
+    for c in coef[-2::-1]:
+        z = z * s
+        out += c[i] * z
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +324,10 @@ class NumericDiffeo:
 
     When the exact rule behind the samples is known it rides along as
     `underlying` and is the evaluator (the samples then only document the
-    map); otherwise the monotone piecewise-cubic interpolant of the samples
-    is. The evaluator is chosen once, here. seams lists interior points where
-    smoothness is merely piecewise.
+    map); otherwise the monotone piecewise-cubic interpolant of the samples,
+    the Fritsch-Butland monotone cubic, is. The evaluator is chosen once,
+    here. seams lists interior points where smoothness is merely piecewise.
+    Samples and seams must be finite.
     """
 
     xs: tuple
@@ -293,10 +337,14 @@ class NumericDiffeo:
     glue: Optional[GlueReport] = None
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
+        xs = np.array(self.xs, dtype=float)  # the interpolant keeps it: a copy
         ys = np.asarray(self.ys, dtype=float)
         if len(xs) != len(ys) or len(xs) < 4:
             raise DomainError("need at least 4 samples")
+        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+            raise DomainError("samples must be finite")
+        if not all(math.isfinite(s) for s in self.seams):
+            raise DomainError(f"seams must be finite, got {list(self.seams)}")
         if np.any(np.diff(xs) <= 0.0):
             raise DomainError("x samples must strictly increase")
         up = bool(ys[1] > ys[0])
@@ -306,8 +354,7 @@ class NumericDiffeo:
         object.__setattr__(self, "ys", tuple(ys.tolist()))
         object.__setattr__(self, "_increasing", up)
         if self.underlying is None:
-            rule = PchipInterpolator(xs, ys)
-            slope = rule.derivative()
+            rule, slope = _monotone_cubic(xs, ys)
         else:
             rule = _array_rule(self.underlying, xs[:2])
             slope = functools.partial(_central_slope, rule, lo=self.xs[0], hi=self.xs[-1])
@@ -451,7 +498,10 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     grid = np.linspace(b, c, max(int(n), 16) + 1)
     near = np.minimum(np.abs(grid - lo_seam), np.abs(grid - hi_seam)) <= 1e-12 * scale
     near[[0, -1]] = False
-    xs = np.union1d(grid[~near], (lo_seam, hi_seam))
+    # sorted and deduplicated as np.union1d would, without the numpy.ma
+    # import that np.unique makes on its first call
+    xs = np.sort(np.concatenate((grid[~near], (lo_seam, hi_seam))))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     i_alpha = np.concatenate(([0.0], np.cumsum(_panel_integrals(alpha, xs[:-1], xs[1:]))))
     i_beta = np.concatenate(([0.0], np.cumsum(_panel_integrals(beta, xs[:-1], xs[1:]))))
 

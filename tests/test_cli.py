@@ -371,6 +371,23 @@ def test_verify_json_payload(write, capsys):
     assert payload["order"] == 2
 
 
+@pytest.mark.parametrize("where", ["x", "y", "seam"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+def test_non_finite_samples_are_input_errors(write, capsys, where, bad):
+    entry = sampled(bent, 1.0, 2.0, n=33, seams=(1.5,))
+    if where == "seam":
+        entry["seams"] = [bad]
+    else:
+        entry["samples"][-1][0 if where == "x" else 1] = bad
+    spec = join_spec(bent, k=1, tol=1e-3)
+    spec["transitions"][0].update(entry)
+    for argv in (["verify", write("map.json", entry)], ["join", write("spec.json", spec)]):
+        assert run(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "must be finite" in captured.err
+        assert "Traceback" not in captured.err + captured.out
+
+
 # -- parser plumbing ------------------------------------------------------------------
 
 

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import twoorigins.join as join_mod
 from twoorigins.errors import DomainError, GlueInfeasible, NotJoinable
@@ -172,6 +173,57 @@ def test_numeric_diffeo_validation():
         NumericDiffeo(xs, (0.0, 0.2, 0.4, 1.0))
     with pytest.raises(DomainError):
         NumericDiffeo((0.0, 0.25, 0.5, 1.0), (0.0, 0.4, 0.2, 1.0))
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError, match="finite"):
+            NumericDiffeo((0.0, bad, 0.5, 1.0), (0.0, 0.4, 0.6, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            NumericDiffeo((0.0, 0.25, 0.5, 1.0), (0.0, 0.4, bad, 1.0))
+        with pytest.raises(DomainError, match="finite"):
+            NumericDiffeo((0.0, 0.25, 0.5, 1.0), (0.0, 0.4, 0.6, 1.0), seams=(bad,))
+    big = (-1e308, -5e307, 0.0, 5e307, 1e308)  # finite, but the slopes overflow
+    with pytest.raises(DomainError, match="overflows"):
+        NumericDiffeo(big, big)
+
+
+def test_sampled_map_is_the_monotone_cubic():
+    # hand-checked: secants 1, 4, 1; interior slopes are the weighted harmonic
+    # mean 1.6, and both one-sided end slopes (3*1 - 4)/2 turn against their
+    # secant, so they are clamped to 0
+    d = NumericDiffeo((0.0, 1.0, 2.0, 3.0), (0.0, 1.0, 5.0, 6.0))
+    assert d(np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0])) == pytest.approx(
+        [0.0, 0.3, 1.0, 3.0, 5.0, 6.0], abs=1e-15)
+    assert d.derivative_grid(np.array([0.0, 0.5, 1.0, 2.0, 3.0])) == pytest.approx(
+        [0.0, 1.1, 1.6, 1.6, 0.0], abs=1e-15)
+
+
+@st.composite
+def monotone_samples(draw):
+    n = draw(st.integers(4, 600))
+    steps = st.floats(1e-3, 10.0)
+    dx = draw(arrays(np.float64, n - 1, elements=steps))
+    dy = draw(arrays(np.float64, n - 1, elements=steps))
+    x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    sign = draw(st.sampled_from((1.0, -1.0)))
+    xs = x0 + np.concatenate(([0.0], np.cumsum(dx)))
+    ys = y0 + sign * np.concatenate(([0.0], np.cumsum(dy)))
+    return xs, ys
+
+
+@settings(max_examples=60, deadline=None)
+@given(monotone_samples())
+@example((np.array([0.0, 3.0, 6.0, 9.0]), np.array([0.0, 5e-324, 1e-323, 1.5e-323])))
+def test_sampled_map_matches_scipy_pchip_bit_for_bit(samples):
+    # the example's secants underflow to 0
+    interpolate = pytest.importorskip("scipy.interpolate")
+    xs, ys = samples
+    d = NumericDiffeo(xs, ys)
+    pad = 0.01 * (xs[-1] - xs[0])
+    q = np.concatenate((xs, 0.5 * (xs[1:] + xs[:-1]),
+                        [xs[0] - pad, np.nextafter(xs[0], -np.inf),
+                         np.nextafter(xs[-1], np.inf), xs[-1] + pad]))
+    ref = interpolate.PchipInterpolator(xs, ys)
+    assert np.array_equal(d(q), ref(q))
+    assert np.array_equal(d.derivative_grid(q), ref.derivative()(q))
 
 
 def test_numeric_diffeo_decreasing_samples_allowed():
