@@ -14,6 +14,9 @@ transition rule that only takes floats still works: NumericDiffeo loops it.
 Everything here is floating point; exactness claims are therefore about
 construction (snapped grid values, identity short-circuits), and smoothness
 claims are certificates with stated tolerances, not proofs.
+
+numpy is imported on the first use of ``np``, not with this module, so a
+process that never glues or certifies never loads it.
 """
 
 from __future__ import annotations
@@ -23,10 +26,23 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-import numpy as np
-
 from . import _numerics
 from .errors import DomainError, GlueInfeasible, NotJoinable
+
+
+class _LazyNumpy:
+    """Stands in for numpy until its first attribute read, which imports
+    numpy and rebinds this module's ``np`` to it; later reads are plain
+    global lookups of the real module."""
+
+    def __getattr__(self, name: str):
+        global np
+        import numpy
+        np = numpy
+        return getattr(numpy, name)
+
+
+np = _LazyNumpy()
 
 #: Flat per-order tolerances used when the caller does not override them.
 TOL_SCHEDULE = (1e-6, 1e-5, 1e-3, 1e-2)
@@ -120,16 +136,16 @@ def _piecewise_poly(xs: np.ndarray, coef: np.ndarray, q: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # quadrature
 
-_PANEL_OFFSETS = np.arange(9) / 8.0
-_PANEL_WEIGHTS = np.array([1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0]) / 24.0
+_PANEL_OFFSETS = tuple(i / 8.0 for i in range(9))
+_PANEL_WEIGHTS = tuple(w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0))
 
 
 def _panel_integrals(f: Callable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Fixed 4-panel composite Simpson of the array rule f on each
     [left[i], right[i]]."""
     widths = right - left
-    nodes = (left[:, None] + widths[:, None] * _PANEL_OFFSETS).ravel()
-    return (f(nodes).reshape(-1, 9) @ _PANEL_WEIGHTS) * widths
+    nodes = (left[:, None] + widths[:, None] * np.array(_PANEL_OFFSETS)).ravel()
+    return (f(nodes).reshape(-1, 9) @ np.array(_PANEL_WEIGHTS)) * widths
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +718,8 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     and no first-derivative estimate anywhere (seams or the dyadic interior
     grid) may be significantly negative: slope > -tol_1, which deliberately
     admits maps with a vanishing one-sided slope at a seam. Failures are
-    reported, never raised.
+    reported, never raised; values so large that the grid slope overflows
+    raise DomainError.
     """
     tols = _tolerances(k, tol)
     lo, hi = map_obj.domain
@@ -717,7 +734,10 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
         grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
     grid = grid[(lo < grid) & (grid < hi)]
     if grid.size:
-        min_slope = float(np.min(_central_slope(map_obj, grid, lo, hi)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            min_slope = float(np.min(_central_slope(map_obj, grid, lo, hi)))
+        if not math.isfinite(min_slope):
+            raise DomainError("map values too large: the slope estimate overflows")
 
     # one-sided estimates of orders 1..k on both sides of every seam, from
     # one call on all their stencil nodes; plan holds (left, right) pairs

@@ -371,6 +371,15 @@ def test_verify_json_payload(write, capsys):
     assert payload["order"] == 2
 
 
+def test_verify_slope_overflow_is_input_error(write, capsys):
+    path = write("huge.json", {"samples": [[i, -1e308 + 4e307 * i] for i in range(5)]})
+    assert run(["verify", path, "--k", "1", "--json"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert "overflows" in captured.err
+    assert "NaN" not in captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+
 @pytest.mark.parametrize("where", ["x", "y", "seam"])
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
 def test_non_finite_samples_are_input_errors(write, capsys, where, bad):

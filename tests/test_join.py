@@ -434,6 +434,15 @@ def test_verify_tolerance_forms():
         verify_ck_numeric(d, 0)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_rejects_a_grid_slope_that_overflows():
+    # increasing and finite, but the stencil's 8 * f overflows near the float range
+    d = NumericDiffeo(tuple(float(i) for i in range(5)),
+                      tuple(-1e308 + 4e307 * i for i in range(5)))
+    with pytest.raises(DomainError, match="overflows"):
+        verify_ck_numeric(d, 1)
+
+
 def test_cert_json_shape():
     cert = verify_ck_numeric(x2_diffeo(), 2)
     d = cert.to_json()
