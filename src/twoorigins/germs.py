@@ -370,12 +370,14 @@ def evaluate(h: GermLike, x):
 def _float_fn(h: GermLike) -> Callable[[float], float]:
     if isinstance(h, NumericGerm):
         return h.fn
+    neg = [(float(t.coeff), float(t.exponent)) for t in h.neg.terms]
+    pos = [(float(t.coeff), float(t.exponent)) for t in h.pos.terms]
     def fn(x: float) -> float:
         if x == 0.0:
             return 0.0
         if x < 0.0:
-            return sum(float(t.coeff) * (-x) ** float(t.exponent) for t in h.neg.terms)
-        return sum(float(t.coeff) * x ** float(t.exponent) for t in h.pos.terms)
+            return sum(c * (-x) ** e for c, e in neg)
+        return sum(c * x ** e for c, e in pos)
     return fn
 
 
@@ -541,12 +543,19 @@ def _numeric_invert(h: GermLike) -> NumericGerm:
             lo, hi = hi, hi * 2.0
             if hi > 2.0 ** 60:
                 raise DomainError("inverse bracket search escaped to infinity")
+        # Once lo and hi are adjacent floats, mid is one of them and an
+        # update that writes back the value already there repeats forever,
+        # so stopping there returns what the full 200 steps would.
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             v = hf(sgn * mid)
             if (v < y) if up else (v > y):
+                if mid == lo:
+                    break
                 lo = mid
             else:
+                if mid == hi:
+                    break
                 hi = mid
         return sgn * 0.5 * (lo + hi)
 

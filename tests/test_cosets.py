@@ -1,5 +1,7 @@
 """Finite group double cosets, signed double cosets, and the w_a pair cells."""
 
+import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -96,6 +98,115 @@ def test_from_json_accepts_names_and_indices():
     assert subs1["T"].members == subs2["T"].members
     with pytest.raises(DomainError):
         FiniteGroup.from_json({"elements": ["e"], "table": [["x"]]})
+    with pytest.raises(DomainError):
+        FiniteGroup.from_json({"elements": ["e"], "table": [[True]]})
+
+
+def test_from_json_named_and_index_tables_build_equal_groups():
+    g = FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.quaternion8())
+    named = {"elements": list(g.elements), "name": g.name,
+             "table": [[g.elements[v] for v in row] for row in g.table]}
+    indexed = {"elements": list(g.elements), "name": g.name,
+               "table": [list(row) for row in g.table]}
+    assert FiniteGroup.from_json(named)[0] == FiniteGroup.from_json(indexed)[0] == g
+
+
+# -- associativity against the triple loop ----------------------------------
+
+
+def _first_nonassociative(table):
+    """The lexicographically first (i, j, k) with (ij)k != i(jk), or None."""
+    n = len(table)
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                if table[table[i][j]][k] != table[i][table[j][k]]:
+                    return i, j, k
+    return None
+
+
+def _assert_checked_like_triple_loop(table, names):
+    first = _first_nonassociative(table)
+    if first is None:
+        FiniteGroup.from_table(names, table)
+        return
+    i, j, k = (names[v] for v in first)
+    with pytest.raises(DomainError, match=re.escape(f"associativity fails at ({i}, {j}, {k})")):
+        FiniteGroup.from_table(names, table)
+
+
+def _reduced_latin_squares(n):
+    """Every Latin square on 0..n-1 whose first row and column read 0..n-1."""
+    def extend(rows):
+        if len(rows) == n:
+            yield tuple(rows)
+            return
+        for p in itertools.permutations(range(n)):
+            if p[0] == len(rows) and all(p[c] != row[c] for row in rows for c in range(n)):
+                yield from extend(rows + [p])
+    yield from extend([tuple(range(n))])
+
+
+def _doubled_loop(m, twist):
+    """(h, s)(k, t) = (h + f(k), s xor t) on Z_m x {0, 1}, where f = twist
+    when s = t = 1 and the identity otherwise. The rows with s = 0 never
+    fail associativity, and a loop's rows that never fail form a subloop,
+    so half the rows is the most that can pass in a non-associative loop."""
+    def mul(a, b):
+        s, h = divmod(a, m)
+        t, k = divmod(b, m)
+        f = twist[k] if s and t else k
+        return (s ^ t) * m + (h + f) % m
+    return tuple(tuple(mul(a, b) for b in range(2 * m)) for a in range(2 * m))
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        FiniteGroup.cyclic(MAX_GROUP_ORDER),
+        FiniteGroup.dihedral(MAX_GROUP_ORDER // 2),
+        FiniteGroup.direct_product(FiniteGroup.dihedral(4), FiniteGroup.quaternion8()),
+        FiniteGroup.alternating4(),
+        FiniteGroup.quaternion8(),
+    ],
+)
+def test_builtin_tables_are_associative(group):
+    # each was accepted when the parameters were built
+    assert _first_nonassociative(group.table) is None
+
+
+def test_order_5_loops_name_the_first_failing_triple():
+    squares = list(_reduced_latin_squares(5))
+    assert len(squares) == 56
+    verdicts = [_first_nonassociative(t) is None for t in squares]
+    # the six labellings of Z5 that fix 0 as identity
+    assert sum(verdicts) == 6
+    for table in squares:
+        _assert_checked_like_triple_loop(table, ["e", "a", "b", "c", "d"])
+
+
+def test_64_element_loop_failing_only_in_its_second_half_is_rejected():
+    # Z_32 doubled, with 1 and 2 swapped in the (s, t) = (1, 1) quarter
+    twist = list(range(32))
+    twist[1], twist[2] = 2, 1
+    table = _doubled_loop(32, twist)
+    first = _first_nonassociative(table)
+    assert first is not None and first[0] == 32
+    _assert_checked_like_triple_loop(table, [f"x{v}" for v in range(64)])
+
+
+@given(st.integers(1, 16), st.randoms(use_true_random=False))
+@settings(max_examples=30, deadline=None)
+def test_relabelled_loops_name_the_first_failing_triple(m, rnd):
+    twist = [0] + rnd.sample(range(1, m), m - 1)
+    table = _doubled_loop(m, twist)
+    n = 2 * m
+    sigma = rnd.sample(range(n), n)
+    relabelled = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            relabelled[sigma[a]][sigma[b]] = sigma[table[a][b]]
+    _assert_checked_like_triple_loop(relabelled, [f"x{v}" for v in range(n)])
 
 
 def test_subgroup_validation():

@@ -292,6 +292,142 @@ def test_in_jdiff_reads_each_numeric_jet_once(monkeypatch):
     assert sorted(calls) == [(j, side) for j in range(1, 4) for side in ("neg", "pos")]
 
 
+# -- the numeric inverse against its fixed-length reference ------------------
+
+
+def _float_fn_reference(h):
+    """germs._float_fn converting each Fraction on every call."""
+    if isinstance(h, NumericGerm):
+        return h.fn
+
+    def fn(x):
+        if x == 0.0:
+            return 0.0
+        if x < 0.0:
+            return sum(float(t.coeff) * (-x) ** float(t.exponent) for t in h.neg.terms)
+        return sum(float(t.coeff) * x ** float(t.exponent) for t in h.pos.terms)
+    return fn
+
+
+def _invert_reference(hf, preserving):
+    """germs._numeric_invert's solve with all 200 bisection steps."""
+    def solve(y):
+        if y == 0.0:
+            return 0.0
+        x_positive = (y > 0) == preserving
+        sgn = 1.0 if x_positive else -1.0
+        up = y > 0
+        lo, hi = 0.0, 2.0 ** -30
+        prev_mag = 0.0
+        while True:
+            v = hf(sgn * hi)
+            if (v >= y) if up else (v <= y):
+                break
+            if math.copysign(1.0, v) != math.copysign(1.0, y) or abs(v) < prev_mag:
+                raise DomainError(f"value {y} is not reached by the monotone branch")
+            prev_mag = abs(v)
+            lo, hi = hi, hi * 2.0
+            if hi > 2.0 ** 60:
+                raise DomainError("inverse bracket search escaped to infinity")
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            v = hf(sgn * mid)
+            if (v < y) if up else (v > y):
+                lo = mid
+            else:
+                hi = mid
+        return sgn * 0.5 * (lo + hi)
+    return solve
+
+
+# |y| from 2^-40 to 1, both signs
+_targets = st.tuples(st.sampled_from([1.0, -1.0]), st.floats(-40, 0)).map(
+    lambda t: t[0] * 2.0 ** t[1])
+
+
+@st.composite
+def monotone_cubics(draw):
+    """a x + b x^2 + c x^3 with b^2 < 3ac, increasing on R, or its negative."""
+    a = draw(st.sampled_from([F(1, 2), F(1), F(3, 2), F(2)]))
+    c = draw(st.sampled_from([F(1, 4), F(1, 2), F(1), F(2)]))
+    b = draw(st.integers(-8, 8).map(lambda n: F(n, 4)).filter(lambda b: b * b < 3 * a * c))
+    s = draw(st.sampled_from([1, -1]))
+    return poly_germ({m: s * v for m, v in {1: a, 2: b, 3: c}.items() if v != 0})
+
+
+@st.composite
+def sine_germs(draw):
+    """s (x + c sin x) with |c| < 1: a numeric germ of either orientation."""
+    c = draw(st.floats(-0.9, 0.9))
+    s = draw(st.sampled_from([1.0, -1.0]))
+    return NumericGerm(lambda x: s * (x + c * math.sin(x)),
+                       "preserving" if s > 0 else "reversing")
+
+
+def _same_float(f, ref, y):
+    try:
+        want = ref(y)
+    except DomainError:
+        with pytest.raises(DomainError):
+            f(y)
+        return
+    assert f(y) == want
+
+
+@given(monotone_cubics(), st.lists(_targets, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_numeric_inverse_of_cubics_matches_fixed_length_reference(h, ys):
+    fn, ref = germs._float_fn(h), _float_fn_reference(h)
+    solve = invert(h).fn
+    ref_solve = _invert_reference(ref, h.orientation == "preserving")
+    for y in ys:
+        assert fn(y) == ref(y)
+        _same_float(solve, ref_solve, y)
+
+
+@given(sine_germs(), st.lists(_targets, min_size=1, max_size=4))
+@settings(max_examples=40, deadline=None)
+def test_numeric_inverse_of_callables_matches_fixed_length_reference(h, ys):
+    solve = invert(h).fn
+    ref_solve = _invert_reference(h.fn, h.orientation == "preserving")
+    for y in ys:
+        _same_float(solve, ref_solve, y)
+
+
+@given(sine_germs(), _targets)
+@settings(max_examples=20, deadline=None)
+def test_nested_numeric_inverse_matches_fixed_length_reference(h, y):
+    preserving = h.orientation == "preserving"
+    ref_solve = _invert_reference(_invert_reference(h.fn, preserving), preserving)
+    _same_float(invert(invert(h)).fn, ref_solve, y)
+
+
+def test_numeric_inverse_stops_once_lo_and_hi_are_adjacent(monkeypatch):
+    args = []
+    float_fn = germs._float_fn
+
+    def counting(h):
+        fn = float_fn(h)
+
+        def counted(x):
+            args.append(x)
+            return fn(x)
+        return counted
+
+    monkeypatch.setattr(germs, "_float_fn", counting)
+    h = poly_germ({1: 1, 3: 1})
+    solve = invert(h).fn
+    args.clear()
+    y = 2.0 ** -10
+    x = solve(y)
+    # the bracket evaluates hi = 2^-30, 2^-29, ... until h(hi) >= y
+    bracket = next(i for i, a in enumerate(args) if a != 2.0 ** (i - 30))
+    assert bracket == 21
+    # bisection from [2^-11, 2^-10] meets adjacent floats after 52 halvings
+    assert len(args) - bracket <= 64
+    assert x == _invert_reference(_float_fn_reference(h), True)(y)
+
+
 def test_real_sqrt_is_exact_past_float_range():
     assert real_sqrt(F(10**400)) == 10**200
     assert real_pow(F(8 * 10**600, 27), F(2, 3)) == F(4 * 10**400, 9)
