@@ -78,15 +78,9 @@ class FiniteGroup:
                     f"associativity fails at ({self.elements[i]}, "
                     f"{self.elements[j]}, {self.elements[k]})"
                 )
-        inv = [None] * n
-        for i in range(n):
-            for j in range(n):
-                if self.table[i][j] == ident and self.table[j][i] == ident:
-                    inv[i] = j
-                    break
-        if any(v is None for v in inv):
-            raise DomainError("an element has no inverse")
-        object.__setattr__(self, "_inv", tuple(inv))
+        # each row holds the identity once (Latin square), and in a group a
+        # right inverse is also a left inverse
+        object.__setattr__(self, "_inv", tuple(row.index(ident) for row in self.table))
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -306,10 +300,10 @@ class CosetPartition:
 
     group: FiniteGroup
     blocks: tuple[tuple[int, ...], ...]
-    kind: str  # "double" | "pm_double" | "left" | "right"
+    kind: str  # "double" | "pm_double"
 
     def __post_init__(self):
-        if self.kind not in ("double", "pm_double", "left", "right"):
+        if self.kind not in ("double", "pm_double"):
             raise DomainError(f"unknown partition kind {self.kind!r}")
         blocks = tuple(tuple(sorted(set(b))) for b in self.blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))

@@ -340,11 +340,18 @@ def psi(a) -> DiffeoL:
     av = to_real(a)
     if av <= 0:
         raise DomainError(f"psi needs a > 0, got {a!r}")
-    root = real_sqrt(av)
     atlas = SpecialMinimalAtlas(make_wa(av))
-    restriction = Germ.from_sides([(1 / root, 1)], [(-root, 1)])
-    pres_a = compose(restriction, invert(atlas.h))
-    return build_diffeo(pres_a, None, atlas, atlas, EXCHANGE, k=1)
+    return _origin_swap(av, -1, atlas, atlas, 1)
+
+
+def _origin_swap(a, sign: int, source, target, k: int) -> DiffeoL:
+    """The origin-exchanging map from the structure of w_a whose restriction
+    is x -> sign*x/sqrt(a) on the left and x -> sign*x*sqrt(a) on the right;
+    sign = 1 preserves orientation, sign = -1 reverses it."""
+    root = real_sqrt(a)
+    restriction = Germ.from_sides([(-sign / root, 1)], [(sign * root, 1)])
+    pres_a = compose(restriction, invert(source.h))
+    return build_diffeo(pres_a, None, source, target, EXCHANGE, k)
 
 
 def compose_diffeo(d2: DiffeoL, d1: DiffeoL) -> DiffeoL:
@@ -378,15 +385,9 @@ def _wa_witnesses(cls_, k: int) -> dict[str, DiffeoL]:
     if cls_.nonempty["fix-"]:
         out["fix-"] = build_diffeo(flip_germ(), None, source, target, FIX, k)
     if cls_.nonempty["ex+"]:
-        root = real_sqrt(av)
-        restriction = Germ.from_sides([(-1 / root, 1)], [(root, 1)])
-        pres_a = compose(restriction, invert(source.h))
-        out["ex+"] = build_diffeo(pres_a, None, source, target, EXCHANGE, k)
+        out["ex+"] = _origin_swap(av, 1, source, target, k)
     if cls_.nonempty["ex-"]:
-        root = real_sqrt(av)
-        restriction = Germ.from_sides([(1 / root, 1)], [(-root, 1)])
-        pres_a = compose(restriction, invert(source.h))
-        out["ex-"] = build_diffeo(pres_a, None, source, target, EXCHANGE, k)
+        out["ex-"] = _origin_swap(av, -1, source, target, k)
     return out
 
 

@@ -29,7 +29,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence, Union
+from typing import Callable, Union
 
 from . import _numerics
 from .errors import DomainError
@@ -145,13 +145,6 @@ class SideExpansion:
         return sum(term.coeff * real_pow(t, term.exponent) for term in self.terms)
 
 
-def _side(terms: Sequence) -> SideExpansion:
-    return SideExpansion(tuple(
-        t if isinstance(t, PowerTerm) else PowerTerm(t[0], t[1])
-        for t in terms
-    ))
-
-
 @dataclass(frozen=True)
 class Germ:
     """Exact germ: per-side power sums plus an orientation flag.
@@ -184,8 +177,8 @@ class Germ:
     @classmethod
     def from_sides(cls, neg_terms, pos_terms) -> "Germ":
         """Build a germ inferring orientation from the leading signs."""
-        neg = _side(neg_terms)
-        pos = _side(pos_terms)
+        neg = SideExpansion(neg_terms)
+        pos = SideExpansion(pos_terms)
         if neg.leading.coeff < 0 and pos.leading.coeff > 0:
             return cls(neg, pos, PRESERVING)
         if neg.leading.coeff > 0 and pos.leading.coeff < 0:
@@ -241,8 +234,17 @@ class NumericGerm:
             mags = [abs(y) for y in ys]
             if any(m2 >= m1 for m1, m2 in zip(mags, mags[1:])):
                 raise DomainError("numeric germ samples are not strictly monotone")
-        if abs(self.fn(2.0 ** -40)) > 1e-6 or abs(self.fn(-2.0 ** -40)) > 1e-6:
-            raise DomainError("numeric germ does not approach 0 at 0")
+            # Scale-free: from x = 2^-15 to 2^-40 and on to 2^-65 a germ like
+            # c*|x|^e shrinks by 2^(-25e) each time, at least half for every
+            # e >= 1/25 whatever c is. A jump J at 0 is caught only when it is
+            # above about half the 2^-40 sample: a smaller J hides under the
+            # part that still vanishes there.
+            mag = mags[-1]
+            for j in (40, 65):
+                finer = abs(self.fn(side * 2.0 ** -j))
+                if finer > 0.5 * mag:
+                    raise DomainError("numeric germ does not approach 0 at 0")
+                mag = finer
 
     def __call__(self, x):
         return evaluate(self, x)
@@ -318,7 +320,7 @@ def make_wa(a) -> Germ:
     a = to_real(a)
     if a <= 0:
         raise DomainError(f"w_a needs a > 0, got {a}")
-    return Germ(_side([(-1, 1)]), _side([(a, 1)]), PRESERVING)
+    return Germ(SideExpansion([(-1, 1)]), SideExpansion([(a, 1)]), PRESERVING)
 
 
 def identity_germ() -> Germ:
@@ -327,7 +329,7 @@ def identity_germ() -> Germ:
 
 def flip_germ() -> Germ:
     """The orientation-reversing involution x -> -x."""
-    return Germ(_side([(1, 1)]), _side([(-1, 1)]), REVERSING)
+    return Germ(SideExpansion([(1, 1)]), SideExpansion([(-1, 1)]), REVERSING)
 
 
 def poly_germ(coeffs: dict[int, object]) -> Germ:
@@ -345,7 +347,7 @@ def poly_germ(coeffs: dict[int, object]) -> Germ:
     pos = [(c, m) for m, c in items]
     neg = [(c * (-1) ** m, m) for m, c in items]
     orientation = PRESERVING if lead_c > 0 else REVERSING
-    return Germ(_side(neg), _side(pos), orientation)
+    return Germ(SideExpansion(neg), SideExpansion(pos), orientation)
 
 
 # ---------------------------------------------------------------------------
@@ -386,10 +388,6 @@ def _float_fn(h: GermLike) -> Callable[[float], float]:
 
 def _orientation_product(o1: str, o2: str) -> str:
     return PRESERVING if (o1 == o2) else REVERSING
-
-
-def _negate_terms(terms):
-    return [(-t.coeff, t.exponent) for t in terms]
 
 
 def _poly_mul(a: dict, b: dict) -> dict:
@@ -455,28 +453,19 @@ def compose(g: GermLike, h: GermLike) -> GermLike:
     """
     if isinstance(g, NumericGerm) or isinstance(h, NumericGerm):
         return _numeric_compose(g, h)
-    sides = {}
-    for result_side in ("neg", "pos"):
-        inner_side = h.neg if result_side == "neg" else h.pos
-        if h.orientation == PRESERVING:
-            outer_side = g.neg if result_side == "neg" else g.pos
-        else:
-            outer_side = g.pos if result_side == "neg" else g.neg
-        # Route signs so the inner series is positive near 0: the outer
-        # expansion consumes |h(x)| and the stored outer coefficients already
-        # carry the output sign convention for the outer side in use.
-        if result_side == "neg":
-            inner_positive = _negate_terms(inner_side.terms) if h.orientation == PRESERVING \
-                else _term_pairs(inner_side)
-        else:
-            inner_positive = _term_pairs(inner_side) if h.orientation == PRESERVING \
-                else _negate_terms(inner_side.terms)
-        expanded = _expand_composition(_term_pairs(outer_side), inner_positive)
+    sides = []
+    for on_neg, inner in ((True, h.neg), (False, h.pos)):
+        # A side of h lands below 0 when it is the neg side of a preserving
+        # h or the pos side of a reversing one. g's side there consumes
+        # |h(x)|, so the inner terms are negated to be positive near 0.
+        below = on_neg == (h.orientation == PRESERVING)
+        outer = g.neg if below else g.pos
+        inner_positive = [(-c, e) if below else (c, e) for c, e in _term_pairs(inner)]
+        expanded = _expand_composition(_term_pairs(outer), inner_positive)
         if expanded is None:
             return _numeric_compose(g, h)
-        sides[result_side] = expanded
-    orientation = _orientation_product(g.orientation, h.orientation)
-    return Germ(_side(sides["neg"]), _side(sides["pos"]), orientation)
+        sides.append(SideExpansion(expanded))
+    return Germ(*sides, _orientation_product(g.orientation, h.orientation))
 
 
 def _prov(h: GermLike) -> str:
@@ -500,19 +489,16 @@ def invert(h: GermLike) -> GermLike:
     if isinstance(h, NumericGerm):
         return _numeric_invert(h)
     if h.neg.is_monomial() and h.pos.is_monomial():
-        nc, ne = h.neg.leading.coeff, h.neg.leading.exponent
-        pc, pe = h.pos.leading.coeff, h.pos.leading.exponent
-        rn, rp = Fraction(1) / ne, Fraction(1) / pe
-        if h.orientation == PRESERVING:
-            # neg -> neg, pos -> pos
-            neg = [(-real_pow(-nc, -rn), rn)]
-            pos = [(real_pow(pc, -rp), rp)]
-        else:
-            # h maps x<0 to y>0 and x>0 to y<0, so the inverse's pos side
-            # comes from h's neg side and vice versa
-            pos = [(-real_pow(nc, -rn), rn)]
-            neg = [(real_pow(-pc, -rp), rp)]
-        return Germ(_side(neg), _side(pos), h.orientation)
+        # c t^e inverts to |c|^(-1/e) t^(1/e), negative for h's neg side;
+        # a reversing h sends each side across 0, so the inverse's sides swap
+        sides = []
+        for negative, side in ((True, h.neg), (False, h.pos)):
+            r = Fraction(1) / side.leading.exponent
+            c = real_pow(abs(side.leading.coeff), -r)
+            sides.append(SideExpansion([(-c if negative else c, r)]))
+        if h.orientation == REVERSING:
+            sides.reverse()
+        return Germ(*sides, h.orientation)
     return _numeric_invert(h)
 
 
@@ -543,10 +529,10 @@ def _numeric_invert(h: GermLike) -> NumericGerm:
             lo, hi = hi, hi * 2.0
             if hi > 2.0 ** 60:
                 raise DomainError("inverse bracket search escaped to infinity")
-        # Once lo and hi are adjacent floats, mid is one of them and an
-        # update that writes back the value already there repeats forever,
-        # so stopping there returns what the full 200 steps would.
-        for _ in range(200):
+        # Bisect until lo and hi are adjacent floats, when mid is one of
+        # them: at most about 1100 steps from [0, 2^60], so a steep inverse
+        # resolves a value whose preimage lies far below 2^-230.
+        while True:
             mid = 0.5 * (lo + hi)
             v = hf(sgn * mid)
             if (v < y) if up else (v > y):
@@ -566,35 +552,10 @@ def _numeric_invert(h: GermLike) -> NumericGerm:
 # ---------------------------------------------------------------------------
 # jets
 
-def _exact_side_jet(side: SideExpansion, order: int, negate_odd: bool) -> list[JetEntry]:
-    """Derivatives 1..order of sum c*t**e read in the x variable.
-
-    negate_odd applies the chain-rule sign for the neg side, where t = -x and
-    the j-th x-derivative of (-x)**e picks up (-1)**j.
-    """
-    coeffs: list[JetEntry] = []
-    frac_exps = [t.exponent for t in side.terms if not is_integral(t.exponent)]
-    min_frac = min(frac_exps) if frac_exps else None
-    by_int_exp = {int(t.exponent): t.coeff for t in side.terms if is_integral(t.exponent)}
-    for j in range(1, order + 1):
-        if min_frac is not None and min_frac < j:
-            coeffs.append(NONEXISTENT)
-            continue
-        c = by_int_exp.get(j)
-        if c is None:
-            coeffs.append(Fraction(0))
-            continue
-        val = c * math.factorial(j)
-        if negate_odd and j % 2 == 1:
-            val = -val
-        coeffs.append(val)
-    return coeffs
-
-
 def _richardson(fn: Callable[[float], float], j: int, side: str):
     """Extrapolated one-sided derivative estimate at 0.
 
-    Returns (value, err, status) with status in "ok" / "nonexistent" /
+    Returns a (status, value, err) row with status in "ok" / "nonexistent" /
     "indeterminate". The stencil node at 0 is the germ's fixed point, so it
     is 0.0 without a call. Existence is the fixed relative 1e-3 Cauchy
     criterion; a quotient sequence that keeps growing at the finest steps
@@ -605,32 +566,48 @@ def _richardson(fn: Callable[[float], float], j: int, side: str):
             for row in _numerics.offsets(j, _RICH_STEPS, sign)]
     best_val, best_err, raw = _numerics.one_sided(rows, j, _RICH_STEPS, sign)
     if best_err <= _RICH_REL * max(1.0, abs(best_val)):
-        return best_val, best_err, "ok"
+        return "ok", best_val, best_err
     mags = [abs(v) for v in raw]
     growing = all(m2 > 1.15 * m1 for m1, m2 in zip(mags[-6:], mags[-5:]))
     if growing and mags[-1] > 5.0 * max(1.0, mags[0]):
-        return best_val, best_err, "nonexistent"
-    return best_val, best_err, "indeterminate"
+        return "nonexistent", best_val, best_err
+    return "indeterminate", best_val, best_err
 
 
-def _numeric_side_jet(h: GermLike, order: int, side: str):
-    """Detailed per-order estimates: list of (status, value, err)."""
-    fn = _float_fn(h)
-    out = []
-    blocked: str | None = None
+def _side_rows(h: GermLike, order: int, side: str) -> list:
+    """The derivatives 1..order of h at 0 from one side, one (status, value,
+    err) row per order, status as in _richardson. Once a status is not "ok",
+    every later row repeats it with no value.
+
+    Exact germs follow one_sided_jet's rule with err None (on the neg side
+    t = -x, so odd orders change sign). Numeric germs are Richardson
+    estimates, indeterminate past the numeric order cap.
+    """
+    exact = isinstance(h, Germ)
+    if exact:
+        terms = (h.neg if side == "neg" else h.pos).terms
+        min_frac = min((t.exponent for t in terms if not is_integral(t.exponent)), default=None)
+        by_int_exp = {int(t.exponent): t.coeff for t in terms if is_integral(t.exponent)}
+    else:
+        fn = _float_fn(h)
+    rows = []
+    status = "ok"
     for j in range(1, order + 1):
-        if blocked is not None:
-            out.append((blocked, None, None))
-            continue
-        if j > _numerics.ORDER_CAP:
-            out.append(("indeterminate", None, None))
-            blocked = "indeterminate"
-            continue
-        value, err, status = _richardson(fn, j, side)
-        out.append((status, value, err))
         if status != "ok":
-            blocked = status
-    return out
+            row = (status, None, None)
+        elif not exact:
+            row = _richardson(fn, j, side) if j <= _numerics.ORDER_CAP \
+                else ("indeterminate", None, None)
+        elif min_frac is not None and min_frac < j:
+            row = ("nonexistent", None, None)
+        elif j not in by_int_exp:
+            row = ("ok", Fraction(0), None)
+        else:
+            val = by_int_exp[j] * math.factorial(j)
+            row = ("ok", -val if side == "neg" and j % 2 == 1 else val, None)
+        status = row[0]
+        rows.append(row)
+    return rows
 
 
 def one_sided_jet(h: GermLike, order: int, side: str) -> tuple[JetEntry, ...]:
@@ -649,11 +626,7 @@ def one_sided_jet(h: GermLike, order: int, side: str) -> tuple[JetEntry, ...]:
         raise DomainError(f"jet order {order} exceeds K_MAX={K_MAX}")
     if side not in ("neg", "pos"):
         raise DomainError(f"side must be 'neg' or 'pos', got {side!r}")
-    if isinstance(h, Germ):
-        exp = h.neg if side == "neg" else h.pos
-        return tuple(_exact_side_jet(exp, order, negate_odd=(side == "neg")))
-    detailed = _numeric_side_jet(h, order, side)
-    return tuple(v if s == "ok" else NONEXISTENT for s, v, _ in detailed)
+    return tuple(v if s == "ok" else NONEXISTENT for s, v, _ in _side_rows(h, order, side))
 
 
 def jet_of(h: GermLike, order: int) -> Jet:
@@ -694,47 +667,33 @@ def smoothness_at_zero(h: GermLike, k) -> SmoothnessReport:
 
 
 def _smoothness(h: GermLike, k) -> tuple[SmoothnessReport, list, list]:
-    """smoothness_at_zero's report with the neg and pos jets it read, each a
-    list of per-order (status, value, err) rows."""
+    """smoothness_at_zero's report with the neg and pos rows it read."""
     keff, capped = _normalize_order(k)
-    if isinstance(h, Germ):
-        dn, dp = (
-            [("ok", v, None) if v is not NONEXISTENT else ("nonexistent", None, None)
-             for v in one_sided_jet(h, keff, side)]
-            for side in ("neg", "pos"))
-        max_order, obstruction = _match_orders(dn, dp, exact=True)
-        conclusive = True
-    else:
-        dn = _numeric_side_jet(h, keff, "neg")
-        dp = _numeric_side_jet(h, keff, "pos")
-        max_order, obstruction = _match_orders(dn, dp, exact=False)
-        conclusive = True
-        if max_order < keff:
-            j = max_order  # index of the failing order j+1
-            sn, sp = dn[j][0], dp[j][0]
-            if sn == "indeterminate" or sp == "indeterminate":
+    exact = isinstance(h, Germ)
+    dn, dp = _side_rows(h, keff, "neg"), _side_rows(h, keff, "pos")
+    max_order, obstruction = _match_orders(dn, dp, exact)
+    conclusive = True
+    if not exact and max_order < keff:
+        j = max_order  # index of the failing order j+1
+        sn, sp = dn[j][0], dp[j][0]
+        if sn == "indeterminate" or sp == "indeterminate":
+            conclusive = False
+        elif sn == "ok" and sp == "ok" and obstruction is not None:
+            # both converged: mismatch is conclusive only when it clears
+            # the combined error band comfortably
+            en = dn[j][2] or 0.0
+            ep = dp[j][2] or 0.0
+            gap = abs(dn[j][1] - dp[j][1])
+            scale = max(1.0, abs(dn[j][1]), abs(dp[j][1]))
+            if gap < max(10.0 * (en + ep), 1e-3 * scale):
                 conclusive = False
-            elif sn == "ok" and sp == "ok" and obstruction is not None:
-                # both converged: mismatch is conclusive only when it clears
-                # the combined error band comfortably
-                en = dn[j][2] or 0.0
-                ep = dp[j][2] or 0.0
-                gap = abs(dn[j][1] - dp[j][1])
-                scale = max(1.0, abs(dn[j][1]), abs(dp[j][1]))
-                if gap < max(10.0 * (en + ep), 1e-3 * scale):
-                    conclusive = False
-    if max_order >= 1:
-        _, v, e = dp[0]
-        if isinstance(h, Germ):
-            nonzero_slope = not real_eq(v, Fraction(0))
-        else:
-            nonzero_slope = abs(v) > max(1e-6, 3.0 * (e or 0.0))
-    else:
-        nonzero_slope = False
+    _, slope, err = dp[0]  # read only once order 1 has passed
     return SmoothnessReport(
         max_order=max_order,
         obstruction=obstruction,
-        is_diffeo_ck=(max_order == keff) and nonzero_slope,
+        is_diffeo_ck=max_order == keff and (
+            not real_eq(slope, Fraction(0)) if exact
+            else abs(slope) > max(1e-6, 3.0 * (err or 0.0))),
         order_checked=keff,
         capped=capped,
         conclusive=conclusive,
@@ -788,20 +747,14 @@ def sandwich_smoothness(f: Jet, a, b, n: int) -> SmoothnessReport:
     d = list(f.pos[:n])
     if real_eq(d[0], Fraction(0)):
         raise DomainError("f'(0) = 0: not a diffeomorphism jet")
-    tau_positive = d[0] > 0
-    max_order = 0
-    obstruction = None
-    for j in range(1, n + 1):
-        dj = d[j - 1]
-        if tau_positive:
-            qn, qp = dj, b * real_pow(a, Fraction(j)) * dj
-        else:
-            qn, qp = b * dj, real_pow(a, Fraction(j)) * dj
-        if real_eq(qn, qp):
-            max_order = j
-        else:
-            obstruction = Obstruction(j, qn, qp)
-            break
+    # lazy, so that no product past the first failing order is formed
+    powers = (real_pow(a, Fraction(j)) for j in range(1, n + 1))
+    if d[0] > 0:
+        qn, qp = d, (b * aj * dj for aj, dj in zip(powers, d))
+    else:
+        qn, qp = (b * dj for dj in d), (aj * dj for aj, dj in zip(powers, d))
+    max_order, obstruction = _match_orders(
+        (("ok", v, None) for v in qn), (("ok", v, None) for v in qp), exact=True)
     return SmoothnessReport(
         max_order=max_order,
         obstruction=obstruction,
@@ -907,4 +860,4 @@ def germ_from_json(d: dict) -> Germ:
         orientation = d["orientation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed germ JSON: {exc}") from exc
-    return Germ(_side(neg), _side(pos), orientation)
+    return Germ(SideExpansion(neg), SideExpansion(pos), orientation)

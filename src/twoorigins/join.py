@@ -823,17 +823,11 @@ def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
     with V off the left part; both reparametrizations carry seam lists and
     order-k certificates.
     """
-    a, c = U.image
-    b, d = V.image
-    if not (a < b < c < d):
-        raise NotJoinable(
-            f"images must interleave a < b < c < d, got a={a}, b={b}, c={c}, d={d}"
-        )
-    _check_transition(g, (b, c), "transition")
+    ChainAtlas((U, V), (g,))  # the interleaving and g, checked as a two-chart chain
     tols = _tolerances(k, tol)
 
     P, Q, glue = _join_maps(U.image, V.image, g)
-    return JoinResult(IntervalChart(f"{U.label}|{V.label}", (a, d)), P, Q,
+    return JoinResult(IntervalChart(f"{U.label}|{V.label}", (U.image[0], V.image[1])), P, Q,
                       verify_ck_numeric(P, k, tols), verify_ck_numeric(Q, k, tols), glue)
 
 

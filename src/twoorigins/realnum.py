@@ -42,10 +42,6 @@ def to_real(x) -> Real:
     raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
 
 
-def as_float(x: Real) -> float:
-    return float(x)
-
-
 def real_eq(x: Real, y: Real, tol: float = REAL_TOL) -> bool:
     """Equality with exact fast-path for Fraction pairs, tolerance otherwise."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):

@@ -244,6 +244,35 @@ def test_structure_same_fold_witness(write, capsys):
     assert "same C^3 structure: true" in capsys.readouterr().out
 
 
+def test_structure_same_with_a_cube_root_is_false(write, capsys):
+    # g o h^-1 behaves like x^(1/3) at 0: a numeric germ with no first
+    # derivative there, a real negative answer and not an input error
+    h = write("h.json", germ_to_json(poly_germ({1: 1, 2: 1})))
+    g = write("g.json", {
+        "neg": [{"c": -1, "e": "1/3"}],
+        "pos": [{"c": 1, "e": "1/3"}],
+        "orientation": "preserving",
+    })
+    assert run(["structure", "same", "--h", h, "--g", g, "--json"]) == EXIT_NEGATIVE
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "false"
+    assert payload["obstruction"] == {"order": 1, "neg": "nonexistent", "pos": "nonexistent"}
+
+
+def test_structure_same_with_a_steep_inverse_answers(write, capsys):
+    # h = x^(1/7) + x inverts to a germ like x^7, whose 2^-65 sample has a
+    # preimage near 2^-455: the inverse must resolve it, not reject h
+    h = write("h.json", {
+        "neg": [{"c": -1, "e": "1/7"}, {"c": -1, "e": 1}],
+        "pos": [{"c": 1, "e": "1/7"}, {"c": 1, "e": 1}],
+        "orientation": "preserving",
+    })
+    g = write("g.json", germ_to_json(poly_germ({1: 1})))
+    assert run(["structure", "same", "--h", h, "--g", g, "--json"]) == EXIT_NEGATIVE
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "false"
+
+
 def test_structure_same_human_readout(write, capsys):
     g2 = write("w2.json", wa_json(2))
     gid = write("id.json", wa_json(1))

@@ -17,6 +17,8 @@ from twoorigins.germs import (
     Jet,
     NumericGerm,
     Obstruction,
+    SideExpansion,
+    SmoothnessReport,
     Tri,
     compose,
     evaluate,
@@ -37,7 +39,7 @@ from twoorigins.germs import (
     sandwich_smoothness,
     smoothness_at_zero,
 )
-from twoorigins.realnum import real_pow, real_sqrt
+from twoorigins.realnum import real_eq, real_pow, real_sqrt, to_real
 
 # Dyadic rationals survive the float round trip in JSON exactly.
 dyadics = st.integers(-64, 64).flatmap(
@@ -428,6 +430,197 @@ def test_numeric_inverse_stops_once_lo_and_hi_are_adjacent(monkeypatch):
     assert x == _invert_reference(_float_fn_reference(h), True)(y)
 
 
+# -- the one row producer and side rule against the routing they replaced ----
+
+
+def _compose_routing_reference(g, h):
+    """compose routing each result side through four orientation cases."""
+    sides = {}
+    for result_side in ("neg", "pos"):
+        inner_side = h.neg if result_side == "neg" else h.pos
+        if h.orientation == "preserving":
+            outer_side = g.neg if result_side == "neg" else g.pos
+        else:
+            outer_side = g.pos if result_side == "neg" else g.neg
+        pairs = [(t.coeff, t.exponent) for t in inner_side.terms]
+        negated = [(-t.coeff, t.exponent) for t in inner_side.terms]
+        if result_side == "neg":
+            inner_positive = negated if h.orientation == "preserving" else pairs
+        else:
+            inner_positive = pairs if h.orientation == "preserving" else negated
+        expanded = germs._expand_composition(
+            [(t.coeff, t.exponent) for t in outer_side.terms], inner_positive)
+        if expanded is None:
+            return germs._numeric_compose(g, h)
+        sides[result_side] = expanded
+    orientation = "preserving" if g.orientation == h.orientation else "reversing"
+    return Germ(SideExpansion(sides["neg"]), SideExpansion(sides["pos"]), orientation)
+
+
+def _invert_routing_reference(h):
+    """invert with one branch per orientation for per-side monomials."""
+    if not (h.neg.is_monomial() and h.pos.is_monomial()):
+        return germs._numeric_invert(h)
+    nc, ne = h.neg.leading.coeff, h.neg.leading.exponent
+    pc, pe = h.pos.leading.coeff, h.pos.leading.exponent
+    rn, rp = F(1) / ne, F(1) / pe
+    if h.orientation == "preserving":
+        neg = [(-real_pow(-nc, -rn), rn)]
+        pos = [(real_pow(pc, -rp), rp)]
+    else:
+        pos = [(-real_pow(nc, -rn), rn)]
+        neg = [(real_pow(-pc, -rp), rp)]
+    return Germ(SideExpansion(neg), SideExpansion(pos), h.orientation)
+
+
+def _side_jet_reference(side, order, negate_odd):
+    """Derivatives 1..order of one exact side, built as jet entries."""
+    coeffs = []
+    frac_exps = [t.exponent for t in side.terms if t.exponent.denominator != 1]
+    min_frac = min(frac_exps) if frac_exps else None
+    by_int_exp = {int(t.exponent): t.coeff for t in side.terms if t.exponent.denominator == 1}
+    for j in range(1, order + 1):
+        if min_frac is not None and min_frac < j:
+            coeffs.append(NONEXISTENT)
+            continue
+        c = by_int_exp.get(j)
+        if c is None:
+            coeffs.append(F(0))
+            continue
+        val = c * math.factorial(j)
+        if negate_odd and j % 2 == 1:
+            val = -val
+        coeffs.append(val)
+    return tuple(coeffs)
+
+
+def _report_reference(h, k):
+    """smoothness_at_zero of an exact germ with its own order walk, and the
+    in_jdiff answer read from the same jets."""
+    keff, capped = (K_MAX, True) if k is None else (min(k, K_MAX), k > K_MAX)
+    dn = _side_jet_reference(h.neg, keff, True)
+    dp = _side_jet_reference(h.pos, keff, False)
+    max_order, obstruction = 0, None
+    for j, (vn, vp) in enumerate(zip(dn, dp), 1):
+        if vn is NONEXISTENT or vp is NONEXISTENT or not real_eq(vn, vp):
+            obstruction = Obstruction(j, vn, vp)
+            break
+        max_order = j
+    ck = max_order == keff and not real_eq(dp[0], F(0))
+    report = SmoothnessReport(max_order, obstruction, ck, keff, capped, True)
+    return report, ck and all(real_eq(c, F(0)) for c in dn[1:] + dp[1:])
+
+
+def _sandwich_reference(f, a, b, n):
+    """sandwich_smoothness with its own order loop."""
+    a, b = to_real(a), to_real(b)
+    if a <= 0 or b <= 0:
+        raise DomainError("sandwich parameters must be positive")
+    if not isinstance(n, int) or n < 1:
+        raise DomainError(f"order must be a positive integer, got {n!r}")
+    if n > f.order:
+        raise DomainError(f"order {n} exceeds the jet's order {f.order}")
+    for j in range(n):
+        if f.neg[j] is NONEXISTENT or f.pos[j] is NONEXISTENT:
+            raise DomainError("jet has NONEXISTENT entries within the requested order")
+        if not real_eq(f.neg[j], f.pos[j]):
+            raise DomainError("jet is not two-sided-equal; not a diffeomorphism jet")
+    d = list(f.pos[:n])
+    if real_eq(d[0], F(0)):
+        raise DomainError("f'(0) = 0: not a diffeomorphism jet")
+    max_order, obstruction = 0, None
+    for j in range(1, n + 1):
+        dj = d[j - 1]
+        if d[0] > 0:
+            qn, qp = dj, b * real_pow(a, F(j)) * dj
+        else:
+            qn, qp = b * dj, real_pow(a, F(j)) * dj
+        if not real_eq(qn, qp):
+            obstruction = Obstruction(j, qn, qp)
+            break
+        max_order = j
+    return SmoothnessReport(max_order, obstruction, max_order == n, n)
+
+
+def _outcome(fn, *args):
+    """What fn returns, down to the types of every coefficient and exponent
+    (repr shows Fraction(1, 1) apart from 1.0), or the error it raises. A
+    numeric germ shows its orientation and provenance."""
+    try:
+        out = fn(*args)
+    except (DomainError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        return type(exc).__name__, str(exc)
+    if isinstance(out, NumericGerm):
+        return "numeric", out.orientation, out.provenance
+    return repr(out)
+
+
+_exps = st.sampled_from([F(1, 3), F(1), F(4, 3), F(3, 2), F(2), F(5, 2), F(3), F(5)])
+# perfect squares and cubes keep inverses exact, the others turn them to floats
+_mags = st.sampled_from([F(1, 2), F(1), F(9, 4), F(8), F(27, 8), 0.5, 1.25])
+_coeffs = st.one_of(dyadics.filter(lambda q: q != 0), st.sampled_from([-0.75, 0.5, 3.0]))
+
+
+@st.composite
+def exact_germs(draw):
+    """Germ of either orientation whose sides are monomials or short sums
+    with integer and fractional exponents and Fraction or float coefficients."""
+    rev = draw(st.booleans())
+
+    def side(sign):
+        exps = sorted(draw(st.lists(_exps, min_size=1, max_size=3, unique=True)))
+        return [(sign * draw(_mags), exps[0])] + [(draw(_coeffs), e) for e in exps[1:]]
+
+    return Germ.from_sides(side(1 if rev else -1), side(-1 if rev else 1))
+
+
+@given(exact_germs(), exact_germs())
+@settings(max_examples=150, deadline=None)
+def test_compose_and_invert_match_the_reference_routing(g, h):
+    assert _outcome(compose, g, h) == _outcome(_compose_routing_reference, g, h)
+    assert _outcome(invert, h) == _outcome(_invert_routing_reference, h)
+
+
+@given(exact_germs())
+@settings(max_examples=150, deadline=None)
+def test_jets_and_reports_match_the_reference_walk(h):
+    for k in (1, 2, 3, 4, 5, 6, None):
+        if k is not None:
+            neg, pos = _side_jet_reference(h.neg, k, True), _side_jet_reference(h.pos, k, False)
+            assert repr(jet_of(h, k)) == repr(Jet(k, neg, pos))
+            assert repr(one_sided_jet(h, k, "neg")) == repr(neg)
+        report, flat = _report_reference(h, k)
+        assert repr(smoothness_at_zero(h, k)) == repr(report)
+        assert in_jdiff(h, k) is flat
+    # most of these jets are one-sided or singular, so sandwich rejects them
+    jet = jet_of(h, 3)
+    assert _outcome(sandwich_smoothness, jet, 2, F(1, 2), 3) == \
+        _outcome(_sandwich_reference, jet, 2, F(1, 2), 3)
+
+
+_params = st.sampled_from([F(1, 3), F(1, 2), F(1), F(2), F(3), 0.5, 2.0])
+
+
+@st.composite
+def polynomial_germs(draw):
+    """A two-sided polynomial of either orientation whose coefficients may
+    stay floats (poly_germ would make them Fractions)."""
+    lead = draw(st.sampled_from([1, -1])) * draw(_mags)
+    tail = draw(st.dictionaries(st.integers(2, 6), _coeffs, max_size=3))
+    terms = [(lead, 1)] + [(c, m) for m, c in sorted(tail.items())]
+    return Germ.from_sides([(c * (-1) ** m, m) for c, m in terms], terms)
+
+
+@given(polynomial_germs(), _params, _params, st.integers(1, 6), st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_sandwich_matches_the_reference_loop(f, a, b, n, reciprocal):
+    # b = 1/a (or a) meets the order-1 condition, so later orders are reached
+    if reciprocal:
+        b = 1 / a if f.orientation == "preserving" else a
+    jet = jet_of(f, 6)
+    assert _outcome(sandwich_smoothness, jet, a, b, n) == _outcome(_sandwich_reference, jet, a, b, n)
+
+
 def test_real_sqrt_is_exact_past_float_range():
     assert real_sqrt(F(10**400)) == 10**200
     assert real_pow(F(8 * 10**600, 27), F(2, 3)) == F(4 * 10**400, 9)
@@ -455,6 +648,38 @@ def test_numeric_germ_validates_samples():
         NumericGerm(lambda x: -x, "preserving")
     with pytest.raises(DomainError):
         NumericGerm(lambda x: x + 0.5, "preserving")
+    for jump in (0.5, 1e-3):
+        with pytest.raises(DomainError, match="approach 0"):
+            NumericGerm(lambda x: math.copysign(jump + math.sqrt(abs(x)), x), "preserving")
+    with pytest.raises(DomainError, match="approach 0"):
+        NumericGerm(lambda x: math.copysign(0.5 + abs(x), x), "preserving")
+    # The known limit: a jump below about half the 2^-40 sample hides under
+    # the part that still vanishes there (samples 0.126, 0.0049, 0.0011)
+    NumericGerm(lambda x: math.copysign(1e-3 + abs(x) ** 0.2, x), "preserving")
+
+
+def test_steep_numeric_inverse_resolves_its_limit_samples():
+    # x^(1/7) + x inverts to a germ like x^7: its 2^-40 and 2^-65 samples
+    # have preimages near 2^-280 and 2^-455, below any fixed bisection budget
+    h = Germ.from_sides([(-1, F(1, 7)), (-1, 1)], [(1, F(1, 7)), (1, 1)])
+    inv = invert(h)
+    assert isinstance(inv, NumericGerm)
+    assert inv(2.0 ** -40) == pytest.approx(2.0 ** -280, rel=1e-9)
+    assert smoothness_at_zero(inv, 1).verdict is Tri.FALSE
+
+
+def test_numeric_germ_tends_to_zero_at_any_rate_and_scale():
+    # x^(1/3) after the inverse of x + x^2: no first derivative at 0
+    root3 = Germ.from_sides([(-1, F(1, 3))], [(1, F(1, 3))])
+    q = compose(root3, invert(poly_germ({1: 1, 2: 1})))
+    assert isinstance(q, NumericGerm)
+    r = smoothness_at_zero(q, 1)
+    assert r.obstruction == Obstruction(1, NONEXISTENT, NONEXISTENT)
+    assert r.verdict is Tri.FALSE
+    root = NumericGerm(lambda x: math.copysign(2.0 * math.sqrt(abs(x)), x), "preserving")
+    assert smoothness_at_zero(root, 1).verdict is Tri.FALSE
+    steep = NumericGerm(lambda x: 1e10 * x, "preserving")
+    assert smoothness_at_zero(steep, 2).verdict is Tri.TRUE
 
 
 def test_sandwich_pinned_case():

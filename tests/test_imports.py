@@ -1,6 +1,7 @@
-"""Every name a library module imports is used by that module, the library
-needs nothing at run time beyond the standard library and numpy, and only
-the subcommands that glue or certify load numpy."""
+"""Every name a library module imports is used by that module, every
+private helper is named somewhere in the library, the library needs nothing
+at run time beyond the standard library and numpy, and only the subcommands
+that glue or certify load numpy."""
 
 import ast
 import json
@@ -47,6 +48,30 @@ def test_module_uses_every_import(path):
 def test_unused_imports_are_found():
     source = "import os\nimport numpy as np\nfrom x import a, b as c\nnp.zeros(a)\n"
     assert unused_imports(source) == {"os", "c"}
+
+
+def orphaned_helpers(sources) -> set:
+    """Module-level private functions and classes (one leading underscore)
+    that no source names, neither as a name nor as an attribute."""
+    trees = [ast.parse(source) for source in sources]
+    private = {node.name for tree in trees for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+               and node.name.startswith("_") and not node.name.startswith("__")}
+    named = {node.id if isinstance(node, ast.Name) else node.attr
+             for tree in trees for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute))}
+    return private - named
+
+
+def test_every_private_helper_is_used():
+    sources = [p.read_text(encoding="utf-8") for p in sorted(SRC.glob("*.py"))]
+    assert orphaned_helpers(sources) == set()
+
+
+def test_orphaned_helpers_are_found():
+    sources = ["def _used():\n    pass\n\ndef _orphan():\n    pass\n\nclass _Gone:\n    pass\n",
+               "import m\nm._used()\n\ndef f():\n    def _inner():\n        pass\n"]
+    assert orphaned_helpers(sources) == {"_orphan", "_Gone"}
 
 
 def import_roots(node) -> set:
