@@ -4,9 +4,9 @@ Groups live as Cayley tables over named elements, capped at 64 elements so
 every axiom is checked exhaustively at construction; associativity is checked
 on every triple, one row of the table at a time in C. On top of the tables:
 plain (C,D)-double cosets, the symmetrized variant that also folds h into
-h^-1 (computed two independent ways and cross-asserted), the wreath-product
-action behind that symmetrization, and the closed-form classification of the
-piecewise-linear one-parameter family w_a.
+h^-1 (by the union formula alone; the tests check it against the wreath-square
+orbits), the wreath-product action behind that symmetrization, and the
+closed-form classification of the piecewise-linear one-parameter family w_a.
 """
 
 from __future__ import annotations
@@ -47,9 +47,14 @@ class FiniteGroup:
             raise DomainError("duplicate element names")
         if len(self.table) != n or any(len(row) != n for row in self.table):
             raise DomainError("table shape does not match element count")
-        for row in self.table:
-            if any(not (0 <= v < n) for v in row):
-                raise DomainError("table entry out of range")
+        try:
+            rows = [bytes(row) for row in self.table]
+        except TypeError:  # a float would pass every check below
+            raise DomainError("table entries must be integers") from None
+        except ValueError:
+            raise DomainError("table entry out of range") from None
+        if max(map(max, rows)) >= n:
+            raise DomainError("table entry out of range")
         for i in range(n):
             if len(set(self.table[i])) != n or len({self.table[j][i] for j in range(n)}) != n:
                 raise DomainError("table is not a Latin square")
@@ -63,9 +68,8 @@ class FiniteGroup:
         object.__setattr__(self, "_identity", ident)
         # For each i, (ij)k = i(jk) for all j, k at once: left lays the rows
         # of the products ij end to end, right reads every row j through
-        # row i. Entries are below n <= 64, so each row is a bytes object
-        # and translate does the reads in C.
-        rows = [bytes(row) for row in self.table]
+        # row i. Entries are below n <= 64, so the bytes rows built above
+        # let translate do the reads in C.
         flat = b"".join(rows)
         pad = bytes(256 - n)
         for i in range(n):
@@ -207,26 +211,33 @@ class FiniteGroup:
         its named subgroups.
         """
         try:
-            elements = tuple(str(e) for e in d["elements"])
-            raw = d["table"]
+            elements, raw = d["elements"], d["table"]
         except (KeyError, TypeError) as exc:
             raise DomainError(f"malformed group JSON: {exc}") from exc
+        subgroups = d.get("subgroups", {})
+        if not (isinstance(elements, list) and isinstance(raw, list)
+                and all(isinstance(row, list) for row in raw)
+                and isinstance(subgroups, dict)
+                and all(isinstance(m, list) for m in subgroups.values())):
+            raise DomainError("malformed group JSON: elements, table, table rows and "
+                              "subgroup members must be arrays, subgroups an object")
+        elements = tuple(str(e) for e in elements)
         # a repeated name makes the constructor reject the group anyway
         index = {e: k for k, e in enumerate(elements)}
-        def entry(v):
-            if isinstance(v, bool):
-                raise DomainError("table entries must be indices or names")
-            if isinstance(v, int):
-                return v
-            try:
-                return index[str(v)]
-            except KeyError:
-                raise DomainError(
-                    f"table references unknown element: {str(v)!r}") from None
-        table = tuple(tuple(entry(v) for v in row) for row in raw)
-        group = cls(elements, table, str(d.get("name", "group")))
+        table = []
+        for row in raw:
+            # a row of indices passes as it is; names resolve entry by entry
+            if set(map(type, row)) != {int}:
+                for v in row:
+                    if isinstance(v, bool):
+                        raise DomainError("table entries must be indices or names")
+                    if not isinstance(v, int) and str(v) not in index:
+                        raise DomainError(f"table references unknown element: {str(v)!r}")
+                row = [v if isinstance(v, int) else index[str(v)] for v in row]
+            table.append(tuple(row))
+        group = cls(elements, tuple(table), str(d.get("name", "group")))
         subs = {}
-        for name, members in d.get("subgroups", {}).items():
+        for name, members in subgroups.items():
             subs[name] = Subgroup.from_names(group, members)
         return group, subs
 
@@ -357,6 +368,12 @@ def _check_subgroup(group: FiniteGroup, s: Subgroup, label: str) -> None:
         raise DomainError(f"{label} is a subgroup of a different group")
 
 
+def _double_coset(table, C, h: int, D) -> set[int]:
+    """C h D read off the table rows: the entries t[c][h] give C h, and row
+    x of that set at the columns of D gives x D."""
+    return {table[x][d] for x in {table[c][h] for c in C} for d in D}
+
+
 def double_cosets(H: FiniteGroup, C: Subgroup, D: Subgroup) -> CosetPartition:
     """Partition of H into blocks {c h d : c in C, d in D}."""
     _check_subgroup(H, C, "C")
@@ -364,54 +381,36 @@ def double_cosets(H: FiniteGroup, C: Subgroup, D: Subgroup) -> CosetPartition:
     unassigned = set(range(len(H)))
     blocks = []
     while unassigned:
-        h = min(unassigned)
-        block = {H.mul(H.mul(c, h), d) for c in C.members for d in D.members}
-        blocks.append(tuple(sorted(block)))
+        block = _double_coset(H.table, C.members, min(unassigned), D.members)
+        blocks.append(block)
         unassigned -= block
     return CosetPartition(H, tuple(blocks), "double")
 
 
 def pm_double_cosets(H: FiniteGroup, D: Subgroup) -> CosetPartition:
-    """Blocks DhD united with Dh^-1D.
-
-    Computed twice: once by the union formula and once as orbits of the
-    wreath-square action, then cross-asserted. The two computations agreeing
-    is part of the contract, not just an implementation detail.
+    """Blocks DhD united with Dh^-1D, by that union formula alone: each block
+    of D\\H/D merges with the block holding the inverse of its least element.
+    The tests check the result block for block against the wreath-square orbits.
     """
     _check_subgroup(H, D, "D")
-    plain = double_cosets(H, D, D)
-    union_blocks = set()
-    for h in range(len(H)):
-        merged = set(plain.block_of(h)) | set(plain.block_of(H.inv(h)))
-        union_blocks.add(tuple(sorted(merged)))
-    union_part = CosetPartition(H, tuple(union_blocks), "pm_double")
-
-    wreath_elems = [WreathElement(a, b, d)
-                    for a in D.members for b in D.members for d in (1, -1)]
-    unassigned = set(range(len(H)))
-    orbit_blocks = []
-    while unassigned:
-        h = min(unassigned)
-        orbit = {wreath_act(w, h, H) for w in wreath_elems}
-        orbit_blocks.append(tuple(sorted(orbit)))
-        unassigned -= orbit
-    orbit_part = CosetPartition(H, tuple(orbit_blocks), "pm_double")
-
-    if union_part.blocks != orbit_part.blocks:
-        raise AssertionError(
-            "union formula and wreath orbits disagree; one computation is wrong"
-        )
-    return union_part
+    blocks = double_cosets(H, D, D).blocks
+    block_of = {i: b for b in blocks for i in b}
+    merged = {frozenset(b + block_of[H.inv(b[0])]) for b in blocks}
+    return CosetPartition(H, tuple(merged), "pm_double")
 
 
 def coset_membership_equiv(H: FiniteGroup, C: Subgroup, D: Subgroup,
                            g: int, h: int) -> bool:
     """Whether g lies in the double coset of h, cross-checked against the
     finite intersection test (C meets g D h^-1)."""
-    part = double_cosets(H, C, D)
-    member = g in part.block_of(h)
+    _check_subgroup(H, C, "C")
+    _check_subgroup(H, D, "D")
+    if not 0 <= h < len(H):
+        raise DomainError(f"index {h} not in any block")
+    member = g in _double_coset(H.table, C.members, h, D.members)
     hinv = H.inv(h)
-    witness = any(H.mul(H.mul(g, d), hinv) in set(C.members) for d in D.members)
+    cs = set(C.members)
+    witness = any(H.mul(H.mul(g, d), hinv) in cs for d in D.members)
     if member != witness:
         raise AssertionError("membership and intersection tests disagree")
     return member

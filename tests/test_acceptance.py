@@ -43,6 +43,8 @@ from twoorigins.join import (
     glue_id_and_diff,
 )
 
+from coset_oracles import wreath_orbits
+
 
 def _report(n, desc, ok, detail=""):
     tail = f" ({detail})" if detail else ""
@@ -121,20 +123,22 @@ def _representative_subgroups(g):
 
 
 def test_criterion_2_union_formula_agrees_with_wreath_orbits():
-    # pm_double_cosets raises AssertionError internally when the two
-    # computations disagree, so the sweep itself is the check
-    checked = 0
+    # pm_double_cosets computes the union formula only; the wreath orbits
+    # are the independent reference it must match block for block
+    checked, disagree = 0, []
     for g in _corpus_groups():
         for d in _representative_subgroups(g):
             part = pm_double_cosets(g, d)
+            if part.blocks != wreath_orbits(g, d):
+                disagree.append((g.name, d.members))
             for block in part.blocks:
                 assert {g.inv(i) for i in block} == set(block)
             checked += 1
     _report(
         2,
         "union formula and wreath orbit sweep agree on every corpus group",
-        checked >= 100,
-        f"{checked} (group, subgroup) pairs",
+        checked >= 100 and not disagree,
+        f"{checked} (group, subgroup) pairs, {len(disagree)} disagree: {disagree[:3]}",
     )
 
 

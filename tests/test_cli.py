@@ -108,6 +108,26 @@ def test_cosets_unknown_subgroup(d3_file, capsys):
     assert "Z" in err and "A" in err
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"subgroups": []},
+        {"subgroups": {"A": 5}},
+        {"table": 5},
+        {"table": [0, 1]},
+        {"elements": "es"},
+    ],
+    ids=["subgroups-array", "members-int", "table-int", "row-int", "elements-string"],
+)
+def test_cosets_malformed_group_json_exits_input(write, change, capsys):
+    g = FiniteGroup.cyclic(2)
+    doc = {"elements": ["e", "s"], "table": [list(row) for row in g.table],
+           "subgroups": {"A": ["e", "s"]}}
+    path = write("bad_group.json", {**doc, **change})
+    assert run(["cosets", path, "--D", "A", "--pm"]) == EXIT_INPUT
+    assert "malformed group JSON" in capsys.readouterr().err
+
+
 # -- classify -----------------------------------------------------------------
 
 

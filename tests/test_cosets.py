@@ -26,6 +26,8 @@ from twoorigins.cosets import (
 )
 from twoorigins.errors import DomainError
 
+from coset_oracles import double_coset_blocks, wreath_orbits
+
 
 def d3():
     return FiniteGroup.dihedral(3)
@@ -74,6 +76,9 @@ def test_direct_product_order_and_commuting_factors():
 def test_from_table_rejects_non_latin_square():
     with pytest.raises(DomainError):
         FiniteGroup.from_table(["e", "a"], [[0, 0], [1, 1]])
+    # a float passes the range, Latin-square and identity checks
+    with pytest.raises(DomainError, match="must be integers"):
+        FiniteGroup.from_table(["e", "a"], [[0, 1.0], [1, 0]])
 
 
 def test_group_order_cap():
@@ -340,11 +345,13 @@ def test_wreath_element_delta_validated():
 @given(_groups, st.data())
 @settings(max_examples=40, deadline=None)
 def test_pm_union_and_orbit_computations_agree(g, data):
-    # pm_double_cosets raises AssertionError internally if the union formula
-    # and the wreath orbit sweep disagree, so surviving the call is the test
-    gen = data.draw(st.integers(0, len(g) - 1))
-    d = Subgroup.generated(g, [gen])
+    # the library computes the union formula only; the wreath orbits and the
+    # set definition of C h D are the independent references
+    d = Subgroup.generated(g, [data.draw(st.integers(0, len(g) - 1))])
+    c = Subgroup.generated(g, [data.draw(st.integers(0, len(g) - 1))])
+    assert double_cosets(g, c, d).blocks == double_coset_blocks(g, c, d)
     part = pm_double_cosets(g, d)
+    assert part.blocks == wreath_orbits(g, d)
     # blocks are closed under inversion by construction
     for block in part.blocks:
         assert {g.inv(i) for i in block} == set(block)
