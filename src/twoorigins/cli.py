@@ -37,20 +37,16 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-class _InputProblem(Exception):
-    """Internal: anything that should terminate with exit code 2."""
-
-
 def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise _InputProblem(f"cannot read {path}: {exc.strerror or exc}") from exc
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise _InputProblem(f"{path}: invalid JSON: {exc}") from exc
+        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
 
 
 def _print_json(payload) -> None:
@@ -78,7 +74,7 @@ def _germ_arg(path: str) -> Germ:
     try:
         return germ_from_json(d)
     except DomainError as exc:
-        raise _InputProblem(f"{path}: {exc}") from exc
+        raise DomainError(f"{path}: {exc}") from exc
 
 
 def _germ_text(g: Germ) -> str:
@@ -102,7 +98,7 @@ def _cmd_cosets(args) -> int:
 
     def sub(name):
         if name not in subgroups:
-            raise _InputProblem(
+            raise DomainError(
                 f"unknown subgroup {name!r}; the file defines {sorted(subgroups)}")
         return subgroups[name]
 
@@ -111,7 +107,7 @@ def _cmd_cosets(args) -> int:
         title = f"({args.D}, +/-) double cosets of {group.name}"
     else:
         if args.C is None:
-            raise _InputProblem("--C is required unless --pm is given")
+            raise DomainError("--C is required unless --pm is given")
         part = double_cosets(group, sub(args.C), sub(args.D))
         title = f"{args.C}\\{group.name}/{args.D} double cosets"
 
@@ -266,7 +262,7 @@ def _cmd_join(args) -> int:
     except NotJoinable:
         raise
     except DomainError as exc:
-        raise _InputProblem(f"{args.spec}: {exc}") from exc
+        raise DomainError(f"{args.spec}: {exc}") from exc
     if args.k is not None:
         k = args.k
     if args.tol is not None:
@@ -291,7 +287,7 @@ def _cmd_verify(args) -> int:
     try:
         nd = NumericDiffeo.from_json(data)
     except DomainError as exc:
-        raise _InputProblem(f"{args.map}: {exc}") from exc
+        raise DomainError(f"{args.map}: {exc}") from exc
     cert = verify_ck_numeric(nd, args.k, args.tol)
     if args.json:
         _print_json(cert.to_json())
@@ -393,9 +389,6 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _InputProblem as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except NotJoinable as exc:
         print(f"not joinable: {exc}", file=sys.stderr)
         return EXIT_NEGATIVE

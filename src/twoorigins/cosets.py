@@ -301,9 +301,6 @@ class Subgroup:
         return all(g.mul(g.mul(a, m), g.inv(a)) in ms
                    for a in range(len(g)) for m in self.members)
 
-    def names(self) -> tuple[str, ...]:
-        return tuple(self.group.elements[i] for i in self.members)
-
 
 @dataclass(frozen=True)
 class CosetPartition:
@@ -405,8 +402,9 @@ def coset_membership_equiv(H: FiniteGroup, C: Subgroup, D: Subgroup,
     finite intersection test (C meets g D h^-1)."""
     _check_subgroup(H, C, "C")
     _check_subgroup(H, D, "D")
-    if not 0 <= h < len(H):
-        raise DomainError(f"index {h} not in any block")
+    for x in (g, h):
+        if not 0 <= x < len(H):
+            raise DomainError(f"index {x} not in any block")
     member = g in _double_coset(H.table, C.members, h, D.members)
     hinv = H.inv(h)
     cs = set(C.members)

@@ -185,9 +185,6 @@ class _Plateau:
         return (_smoothstep_arr((xs - self.l0) / (self.l1 - self.l0))
                 * _smoothstep_arr((self.r0 - xs) / (self.r0 - self.r1)))
 
-    #: The call under its older array-only name.
-    arr = __call__
-
 
 def bump_plateau(l0, l1, r1, r0) -> _Plateau:
     """A C-infinity function that is 1 on [l1, r1] and 0 outside (l0, r0)."""
@@ -324,14 +321,6 @@ class GlueReport:
     presnap_id: float
     presnap_g: float
     cells: int
-
-    def to_json(self) -> dict:
-        return {
-            "eps": self.eps, "lambda": self.lam,
-            "integral_residual": self.integral_residual,
-            "presnap_id": self.presnap_id, "presnap_g": self.presnap_g,
-            "cells": self.cells,
-        }
 
 
 @dataclass(frozen=True, eq=False)
@@ -470,27 +459,25 @@ class NumericDiffeo:
 # the glue
 
 def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
-    """Glue the identity into g across the interval g lives on.
+    """Glue the identity into g across the interval (b, c) g lives on.
 
-    Returns p with p(x) = x on (b, b+eps], p(x) = g(x) on [c-eps, c), strictly
-    increasing throughout, built as b + integral of gamma where
+    Returns p, strictly increasing, built as b + integral of gamma where
     gamma = F + R*g' + lambda*beta: F is a plateau equal to 1 near b, R a
     plateau equal to 1 near c, beta bridges the middle, and lambda is fitted
     so the cumulative quadrature lands exactly on g(c-eps) at the right seam.
     lambda <= 0 means eps is too large for this g: GlueInfeasible.
+
+    p's rule is x itself at and below b + eps and g(x) itself at and above
+    c - eps, on all of R and not just on (b, c); a join relies on that to use
+    p alone on a wider interval.
     """
-    if not isinstance(g, NumericDiffeo):
-        raise DomainError("glue needs a NumericDiffeo transition")
-    if not g.increasing:
-        raise DomainError("glue needs an orientation-preserving transition")
+    _check_transition(g, "the glued transition")
     b, c = g.domain
     span = c - b
     eps = float(eps)
     if not (0.0 < eps < span / 4.0):
         raise DomainError(f"eps must lie in (0, {span / 4.0}), got {eps}")
     scale = max(1.0, abs(b), abs(c))
-    if abs(g.ys[0] - b) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - c) > _ENDPOINT_TOL * scale:
-        raise DomainError("transition must map the interval onto itself")
 
     lo_seam, hi_seam = b + eps, c - eps
     F = bump_plateau(b - eps, b, lo_seam, b + 2 * eps)
@@ -642,15 +629,15 @@ class ChainAtlas:
                     "are not allowed"
                 )
         for i, g in enumerate(transitions):
-            _check_transition(g, (imgs[i + 1][0], imgs[i][1]), f"transition {i}")
+            _check_transition(g, f"transition {i}", (imgs[i + 1][0], imgs[i][1]))
 
 
-def _check_transition(g, overlap: tuple, name: str) -> None:
+def _check_transition(g, name: str, overlap: Optional[tuple] = None) -> None:
     """NotJoinable unless g is an increasing numeric self-map of the overlap
-    fixing its ends."""
-    lo, hi = overlap
+    (by default its own domain) fixing its ends."""
     if not isinstance(g, NumericDiffeo):
         raise NotJoinable(f"{name} is not a numeric map")
+    lo, hi = overlap or g.domain
     scale = max(1.0, abs(lo), abs(hi))
     if abs(g.domain[0] - lo) > _ENDPOINT_TOL * scale \
             or abs(g.domain[1] - hi) > _ENDPOINT_TOL * scale:
@@ -803,8 +790,10 @@ def _join_maps(u_image: tuple, v_image: tuple, g: NumericDiffeo, n: int = 4096) 
 
     p = glue_auto(g, n=n)
     eps = p.glue.eps
-    P = PiecewiseMonotone((a, b + eps, c - eps, c),
-                          (IdentityMap((a, b + eps)), p, g))
+    # p is already x up to b + eps and g from c - eps on, so on (a, c) it
+    # is P by itself; p o g^-1 is not bitwise x past g(c - eps), so Q is
+    # two pieces
+    P = PiecewiseMonotone((a, c), (p,), extra_seams=p.seams)
     y1 = float(g(b + eps))
     y2 = float(g(c - eps))
     q_mid = ComposedMap(p, g.inverse(), seams=(y1, y2))
@@ -852,10 +841,10 @@ class CollapseResult:
 
 
 def _probe_identity(r, interval, label: str) -> None:
-    lo, hi = interval
-    scale = max(1.0, abs(lo), abs(hi))
-    ts = np.linspace(lo, hi, 7)[1:-1]
-    if np.max(np.abs(r(ts) - ts)) > 1e-9 * scale:
+    """NotJoinable unless r is exactly x at five points inside interval; a
+    transition probed here is an identity piece there by construction."""
+    ts = np.linspace(interval[0], interval[1], 7)[1:-1]
+    if not np.array_equal(r(ts), ts):
         raise NotJoinable(
             f"stabilization violated at {label}: expected the already-"
             f"joined chart to be the identity on the overlap"
@@ -866,52 +855,45 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
                    tol=None) -> CollapseResult:
     """Collapse a chain-like atlas to a single chart, middle-out.
 
-    Starts at the middle pair and alternates joining one chart on the right
-    and one on the left, so already-joined regions are never touched again
-    (the strict no-triple-overlap condition guarantees each join's
-    modification strip stays clear of earlier charts). Per-chart transitions
-    r_i into the final chart are accumulated; each r_i is wrapped at most
-    once per neighbor and then stays bit-stable. The atlas has checked the
+    Join i joins charts i and i+1. With mid = (m - 1) // 2 the joins run
+    mid, mid + 1, mid - 1, mid + 2, mid - 2, ... (skipping indices outside
+    0..m-2): the middle pair first, then one chart on the right and one on
+    the left in turn. Each join adds one chart to the block joined so far:
+    the block supplies its image, the block's end chart has its transition
+    composed with the join's map, and the new chart's transition starts as
+    the join's other map. Already-joined regions are never touched again
+    (the strict no-triple-overlap condition keeps each join's modification
+    strip clear of earlier charts), so the end chart is exactly the identity
+    on the next overlap, which a probe checks. The atlas has checked the
     overlaps and transitions; each final r_i is certified once, at the end.
     """
     tols = _tolerances(k, tol)
     transitions = atlas.transitions
     imgs = [ch.image for ch in atlas.charts]
     m = len(imgs)
+    mid = (m - 1) // 2
+    # join mid + d sorts as 2d - 1 and join mid - d as 2d
+    steps = tuple((i, i + 1) for i in sorted(range(m - 1),
+                                             key=lambda i: 2 * abs(i - mid) - (i > mid)))
 
-    lo = (m - 1) // 2
-    hi = lo + 1
-    steps = []
-
-    def attempt(i, u_image, v_image):
+    r, block = {}, imgs[mid]
+    for i, j in steps:
+        right = i >= mid  # chart i is in the block and chart j is new, or the reverse
+        old, new = (i, j) if right else (j, i)
+        if old in r:
+            _probe_identity(r[old], (imgs[j][0], imgs[i][1]), f"charts {i}/{j}")
         try:
-            return _join_maps(u_image, v_image, transitions[i], n)
+            P, Q, _ = _join_maps(block if right else imgs[i], imgs[j] if right else block,
+                                 transitions[i], n)
         except (GlueInfeasible, DomainError) as exc:
-            exc.args = (f"joining charts {i} and {i + 1}: {exc.args[0]}",) + exc.args[1:]
+            exc.args = (f"joining charts {i} and {j}: {exc.args[0]}",) + exc.args[1:]
             raise
-
-    P, Q, _ = attempt(lo, imgs[lo], imgs[hi])
-    r = {lo: P, hi: Q}
-    block = (imgs[lo][0], imgs[hi][1])
-    steps.append((lo, hi))
-
-    while lo > 0 or hi < m - 1:
-        if hi < m - 1:
-            j = hi + 1
-            _probe_identity(r[hi], (imgs[j][0], imgs[hi][1]), f"charts {hi}/{j}")
-            P, r[j], _ = attempt(hi, block, imgs[j])
-            r[hi] = ComposedMap(P, r[hi], seams=tuple(sorted(set(r[hi].seams) | set(P.seams))))
-            block = (block[0], imgs[j][1])
-            hi = j
-            steps.append((hi - 1, hi))
-        if lo > 0:
-            j = lo - 1
-            _probe_identity(r[lo], (imgs[lo][0], imgs[j][1]), f"charts {j}/{lo}")
-            r[j], Q, _ = attempt(j, imgs[j], block)
-            r[lo] = ComposedMap(Q, r[lo], seams=tuple(sorted(set(r[lo].seams) | set(Q.seams))))
-            block = (imgs[j][0], block[1])
-            lo = j
-            steps.append((lo, lo + 1))
+        outer, r[new] = (P, Q) if right else (Q, P)
+        if old in r:
+            seams = tuple(sorted(set(r[old].seams) | set(outer.seams)))
+            outer = ComposedMap(outer, r[old], seams=seams)
+        r[old] = outer
+        block = (block[0], imgs[j][1]) if right else (imgs[i][0], block[1])
 
     certs = tuple(verify_ck_numeric(r[i], k, tols) for i in range(m))
     agg = SmoothCert(
@@ -923,8 +905,7 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
         tolerances=tols,
     )
     chart = IntervalChart("collapsed", (imgs[0][0], imgs[-1][1]))
-    return CollapseResult(chart, tuple(r[i] for i in range(m)), agg, certs,
-                          tuple(steps))
+    return CollapseResult(chart, tuple(r[i] for i in range(m)), agg, certs, steps)
 
 
 # ---------------------------------------------------------------------------

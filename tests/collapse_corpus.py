@@ -1,0 +1,88 @@
+"""Dump a fixed corpus of chain collapses and two-chart joins to JSON.
+
+Usage: python tests/collapse_corpus.py OUT.json
+
+The corpus is 80 collapses and 40 two-chart joins built from
+perfbench/gen.chain_spec (read only): seeds 0-39 with m = 2, 4, 8 charts by
+seed mod 3, each collapsed at k = 1 and k = 2 with tol 1e-3, and for each
+seed a two-chart spec joined with join_charts at k = 2. For every case the
+dump holds the certificates, the steps and chart, the glue reports, the
+collapse_to_json payload, and every transition's domain, seams and values at
+31 interior points of its chart. Floats are written by repr, so two trees
+that compute the same bits write the same bytes: run it on both and cmp.
+"""
+
+import dataclasses
+import json
+import random
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import gen  # noqa: E402
+from twoorigins import join  # noqa: E402
+
+
+def chain(seed: int, m: int) -> join.ChainAtlas:
+    spec = gen.chain_spec(random.Random(seed), m)
+    images = spec["images"]
+    charts = tuple(join.IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    transitions = []
+    for i, (lam, mu) in enumerate(spec["params"]):
+        lo, hi = images[i + 1][0], images[i][1]
+        transitions.append(join.NumericDiffeo.from_function(
+            gen.bent_map(lo, hi, lam, mu), (lo, hi), n=256))
+    return join.ChainAtlas(charts, tuple(transitions))
+
+
+def maps(rs, charts) -> list:
+    out = []
+    for r, chart in zip(rs, charts):
+        lo, hi = chart.image
+        xs = np.linspace(lo, hi, 33)[1:-1]
+        out.append({"domain": list(r.domain), "seams": list(r.seams),
+                    "values": r(xs).tolist()})
+    return out
+
+
+def main(path: str) -> None:
+    glues = []
+    glue_auto = join.glue_auto
+
+    def recorded(g, *args, **kwargs):
+        p = glue_auto(g, *args, **kwargs)
+        glues.append(dataclasses.asdict(p.glue))
+        return p
+
+    join.glue_auto = recorded  # join calls it through the module global
+    cases = []
+    for seed in range(40):
+        atlas = chain(seed, (2, 4, 8)[seed % 3])
+        for k in (1, 2):
+            glues.clear()
+            res = join.collapse_chain(atlas, k=k, tol=1e-3)
+            cases.append({"collapse": [seed, k], "steps": [list(s) for s in res.steps],
+                          "chart": [res.chart.label, list(res.chart.image)],
+                          "cert": res.cert.to_json(),
+                          "certs": [c.to_json() for c in res.certs],
+                          "glues": list(glues), "json": join.collapse_to_json(res, atlas),
+                          "maps": maps(res.transitions, atlas.charts)})
+    for seed in range(40):
+        atlas = chain(seed, 2)
+        res = join.join_charts(*atlas.charts, atlas.transitions[0], k=2)
+        glue = None if res.glue is None else dataclasses.asdict(res.glue)
+        cases.append({"join": seed, "chart": [res.chart.label, list(res.chart.image)],
+                      "passed": res.passed, "glue": glue,
+                      "certs": [res.cert_u.to_json(), res.cert_v.to_json()],
+                      "maps": maps((res.trans_u, res.trans_v), atlas.charts)})
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(cases, fh, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main(sys.argv[1])

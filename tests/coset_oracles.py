@@ -1,4 +1,5 @@
-"""Reference partitions the coset tests compare the library against.
+"""Reference partitions the coset tests compare the library against, and the
+corpus of small groups they sweep.
 
 pm_double_cosets computes the union formula DhD u Dh^-1D only. These build
 the same partitions a second, independent way: as orbits of the wreath square
@@ -6,7 +7,7 @@ of D acting by (a, b, delta).h = a h^delta b^-1, and as plain double cosets
 straight from the set definition through FiniteGroup.mul.
 """
 
-from twoorigins.cosets import WreathElement, wreath_act
+from twoorigins.cosets import FiniteGroup, WreathElement, wreath_act
 
 
 def wreath_orbits(g, d):
@@ -27,3 +28,25 @@ def double_coset_blocks(g, c, d):
     blocks = {frozenset(g.mul(g.mul(x, h), y) for x in c.members for y in d.members)
               for h in range(len(g))}
     return tuple(sorted(tuple(sorted(b)) for b in blocks))
+
+
+def corpus_groups():
+    """The groups of order at most 12 that criterion 2 sweeps."""
+    groups = [FiniteGroup.cyclic(n) for n in range(1, 13)]
+    groups += [FiniteGroup.dihedral(n) for n in range(2, 7)]
+    groups += [
+        FiniteGroup.quaternion8(),
+        FiniteGroup.alternating4(),
+        FiniteGroup.dicyclic3(),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
+        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
+        FiniteGroup.direct_product(
+            FiniteGroup.cyclic(2),
+            FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        ),
+    ]
+    assert all(len(g) <= 12 for g in groups)
+    return groups

@@ -43,7 +43,7 @@ from twoorigins.join import (
     glue_id_and_diff,
 )
 
-from coset_oracles import wreath_orbits
+from coset_oracles import corpus_groups, wreath_orbits
 
 
 def _report(n, desc, ok, detail=""):
@@ -89,27 +89,6 @@ def test_criterion_1_d3_double_cosets_exact_and_fast():
 # -- criterion 2 -----------------------------------------------------------------
 
 
-def _corpus_groups():
-    groups = [FiniteGroup.cyclic(n) for n in range(1, 13)]
-    groups += [FiniteGroup.dihedral(n) for n in range(2, 7)]
-    groups += [
-        FiniteGroup.quaternion8(),
-        FiniteGroup.alternating4(),
-        FiniteGroup.dicyclic3(),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
-        FiniteGroup.direct_product(
-            FiniteGroup.cyclic(2),
-            FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
-        ),
-    ]
-    assert all(len(g) <= 12 for g in groups)
-    return groups
-
-
 def _representative_subgroups(g):
     subs = {Subgroup.generated(g, []).members: Subgroup.generated(g, [])}
     for i in range(len(g)):
@@ -126,7 +105,7 @@ def test_criterion_2_union_formula_agrees_with_wreath_orbits():
     # pm_double_cosets computes the union formula only; the wreath orbits
     # are the independent reference it must match block for block
     checked, disagree = 0, []
-    for g in _corpus_groups():
+    for g in corpus_groups():
         for d in _representative_subgroups(g):
             part = pm_double_cosets(g, d)
             if part.blocks != wreath_orbits(g, d):

@@ -26,7 +26,7 @@ from twoorigins.cosets import (
 )
 from twoorigins.errors import DomainError
 
-from coset_oracles import double_coset_blocks, wreath_orbits
+from coset_oracles import corpus_groups, double_coset_blocks, wreath_orbits
 
 
 def d3():
@@ -277,6 +277,21 @@ def test_coset_membership_equiv_matches_partition():
     for x in range(len(g)):
         for h in range(len(g)):
             assert coset_membership_equiv(g, a, b, x, h) == (x in part.block_of(h))
+
+
+def test_coset_membership_equiv_rejects_indices_outside_the_group():
+    # both g and h range over -1..n; only 0..n-1 name elements
+    for grp in corpus_groups():
+        n = len(grp)
+        c, d = Subgroup.generated(grp, [n - 1]), Subgroup.generated(grp, [n // 2])
+        part = double_cosets(grp, c, d)
+        for x in range(-1, n + 1):
+            for h in range(-1, n + 1):
+                if 0 <= x < n and 0 <= h < n:
+                    assert coset_membership_equiv(grp, c, d, x, h) == (x in part.block_of(h))
+                else:
+                    with pytest.raises(DomainError, match="not in any block"):
+                        coset_membership_equiv(grp, c, d, x, h)
 
 
 def test_partition_validation():

@@ -97,7 +97,7 @@ def test_bump_plateau_shape():
     assert 0.0 < f(0.5) < 1.0
     rising = [f(t) for t in np.linspace(0.0, 1.0, 9)]
     assert all(x <= y for x, y in zip(rising, rising[1:]))
-    arr = f.arr(np.array([-0.5, 1.7, 3.5]))
+    arr = f(np.array([-0.5, 1.7, 3.5]))
     assert list(arr) == [0.0, 1.0, 0.0]
 
 
@@ -306,6 +306,12 @@ def test_glue_snap_is_exact_on_the_outer_zones():
         assert p(x) == x
     for x in (0.9, 0.93, 0.99):
         assert p(x) == g(x)
+    # a join uses the glue alone on a wider interval, so both branches hold
+    # past (b, c) = (0, 1) as well
+    below = np.linspace(-2.0, 0.1, 43)
+    above = np.linspace(0.9, 3.0, 43)
+    assert np.array_equal(p(below), below)
+    assert np.array_equal(p(above), g(above))
 
 
 def test_glue_of_identity_is_identity():
@@ -334,6 +340,8 @@ def test_glue_rejects_bad_input():
     dec = NumericDiffeo.from_function(lambda x: 1.0 - x, (0.0, 1.0), n=32)
     with pytest.raises(DomainError):
         glue_id_and_diff(dec, 0.1)
+    with pytest.raises(DomainError):
+        glue_id_and_diff(AffineMap(2.0, 0.0, domain=(0.0, 1.0)), 0.1)
 
 
 def test_glue_infeasible_carries_diagnostics():
@@ -617,6 +625,38 @@ def test_collapse_prefixes_failures_with_the_pair(monkeypatch):
     assert str(exc.value).startswith("joining charts 0 and 1:")
 
 
+def test_probe_identity_is_exact():
+    join_mod._probe_identity(IdentityMap((0.0, 1.0)), (0.0, 1.0), "charts 0/1")
+    with pytest.raises(NotJoinable, match="charts 0/1"):
+        join_mod._probe_identity(AffineMap(1.0, 1e-12), (0.0, 1.0), "charts 0/1")
+
+
+@pytest.mark.parametrize("m, order", [
+    (2, [0]), (3, [1, 0]), (4, [1, 2, 0]), (5, [2, 3, 1, 0]), (6, [2, 3, 1, 4, 0]),
+    (7, [3, 4, 2, 5, 1, 0]), (8, [3, 4, 2, 5, 1, 6, 0]), (9, [4, 5, 3, 6, 2, 7, 1, 0]),
+])
+def test_collapse_joins_middle_out(m, order):
+    # the middle pair first, then one join to the right and one to the left
+    images = [(1.5 * i, 1.5 * i + 2.0) for i in range(m)]
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    transitions = tuple(
+        NumericDiffeo.from_function(lambda x: x, (images[i + 1][0], images[i][1]), n=16)
+        for i in range(m - 1)
+    )
+    res = collapse_chain(ChainAtlas(charts, transitions), k=1)
+    assert res.steps == tuple((i, i + 1) for i in order)
+    assert res.chart.image == (0.0, images[-1][1])
+
+
+def test_two_chart_collapse_reads_the_glue_on_the_left_chart():
+    # P is the glue itself on (a, c): the identity left of the overlap, g right of it
+    g = overlap_transition(1.0, 2.0, 0.4)
+    atlas = ChainAtlas((IntervalChart("u", (0.0, 2.0)), IntervalChart("v", (1.0, 3.0))), (g,))
+    xs = np.linspace(0.0, 2.0, 201)[1:-1]
+    r = collapse_chain(atlas, k=1).transitions[0]
+    assert np.array_equal(r(xs), glue_auto(g)(xs))
+
+
 def test_collapse_certifies_each_chart_once(monkeypatch):
     # one certificate per input chart's final transition, none per join
     certified = []
@@ -703,7 +743,7 @@ def test_map_protocol_array_matches_pointwise(protocol_maps, kind):
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     singles = [m(float(x)) for x in xs]
     assert all(type(v) is float for v in singles)
-    assert np.allclose(got, singles, rtol=1e-14, atol=0.0)
+    assert np.array_equal(got, singles)
 
 
 def test_map_protocol_keeps_snapped_regions_exact():
