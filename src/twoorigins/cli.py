@@ -69,12 +69,15 @@ def _entry_json(v):
     return float(v)
 
 
-def _germ_arg(path: str) -> Germ:
-    d = _load_json(path)
+def _parse_file(path: str, parse):
+    """parse applied to the JSON in path; a DomainError it raises, of
+    whatever subclass, names the file."""
+    data = _load_json(path)
     try:
-        return germ_from_json(d)
+        return parse(data)
     except DomainError as exc:
-        raise DomainError(f"{path}: {exc}") from exc
+        exc.args = (f"{path}: {exc}",) + exc.args[1:]
+        raise
 
 
 def _germ_text(g: Germ) -> str:
@@ -93,8 +96,7 @@ def _germ_text(g: Germ) -> str:
 # subcommands
 
 def _cmd_cosets(args) -> int:
-    data = _load_json(args.group)
-    group, subgroups = FiniteGroup.from_json(data)
+    group, subgroups = _parse_file(args.group, FiniteGroup.from_json)
 
     def sub(name):
         if name not in subgroups:
@@ -148,9 +150,10 @@ def _cmd_classify(args) -> int:
 def _cmd_germ(args) -> int:
     if args.germ_op != "jet":
         if args.germ_op == "compose":
-            out, what = compose(_germ_arg(args.g), _germ_arg(args.h)), "composite"
+            g, h = _parse_file(args.g, germ_from_json), _parse_file(args.h, germ_from_json)
+            out, what = compose(g, h), "composite"
         else:
-            out, what = invert(_germ_arg(args.h)), "inverse"
+            out, what = invert(_parse_file(args.h, germ_from_json)), "inverse"
         if isinstance(out, NumericGerm):
             print(f"the {what} is not closed-form representable; its jets "
                   "are only available numerically", file=sys.stderr)
@@ -160,8 +163,7 @@ def _cmd_germ(args) -> int:
         else:
             print(_germ_text(out))
         return EXIT_OK
-    h = _germ_arg(args.h)
-    jet = jet_of(h, args.order)
+    jet = jet_of(_parse_file(args.h, germ_from_json), args.order)
     if args.json:
         _print_json({"order": jet.order,
                      "neg": [_entry_json(v) for v in jet.neg],
@@ -181,8 +183,8 @@ def _obstruction_payload(rep):
 
 
 def _cmd_structure(args) -> int:
-    h = _germ_arg(args.h)
-    g = _germ_arg(args.g)
+    h = _parse_file(args.h, germ_from_json)
+    g = _parse_file(args.g, germ_from_json)
     verdict = same_structure(h, g, args.k)
 
     q = compose(g, invert(h))
@@ -256,13 +258,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_join(args) -> int:
-    data = _load_json(args.spec)
-    try:
-        atlas, k, tol = chain_from_json(data)
-    except NotJoinable:
-        raise
-    except DomainError as exc:
-        raise DomainError(f"{args.spec}: {exc}") from exc
+    atlas, k, tol = _parse_file(args.spec, chain_from_json)
     if args.k is not None:
         k = args.k
     if args.tol is not None:
@@ -283,11 +279,7 @@ def _cmd_join(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    data = _load_json(args.map)
-    try:
-        nd = NumericDiffeo.from_json(data)
-    except DomainError as exc:
-        raise DomainError(f"{args.map}: {exc}") from exc
+    nd = _parse_file(args.map, NumericDiffeo.from_json)
     cert = verify_ck_numeric(nd, args.k, args.tol)
     if args.json:
         _print_json(cert.to_json())

@@ -1,8 +1,9 @@
 """Exact double cosets on finite multiplication-table groups.
 
 Groups live as Cayley tables over named elements, capped at 64 elements so
-every axiom is checked exhaustively at construction; associativity is checked
-on every triple, one row of the table at a time in C. On top of the tables:
+construction checks exhaustively the three facts that make a table a group:
+a two-sided identity, associativity on every triple (one row of the table at
+a time in C) and the identity in every row. On top of the tables:
 plain (C,D)-double cosets, the symmetrized variant that also folds h into
 h^-1 (by the union formula alone; the tests check it against the wreath-square
 orbits), the wreath-product action behind that symmetrization, and the
@@ -27,10 +28,11 @@ class FiniteGroup:
     """A group given by element names and a Cayley table of indices.
 
     table[i][j] is the index of elements[i] * elements[j]. Construction
-    verifies the Latin-square property, associativity on every triple (for
-    each i, all (ij)k against i(jk) in one bytes comparison), and a two-sided
-    identity; inverses then exist automatically but are located anyway so
-    inv() is a table lookup.
+    verifies a two-sided identity, associativity on every triple (for each i,
+    all (ij)k against i(jk) in one bytes comparison), and that every row
+    holds the identity, i.e. every element has a right inverse. Those make a
+    group, so the table is a Latin square without a check of its own; the
+    inverses found are kept so inv() is a table lookup.
     """
 
     elements: tuple[str, ...]
@@ -55,25 +57,17 @@ class FiniteGroup:
             raise DomainError("table entry out of range") from None
         if max(map(max, rows)) >= n:
             raise DomainError("table entry out of range")
-        for i in range(n):
-            if len(set(self.table[i])) != n or len({self.table[j][i] for j in range(n)}) != n:
-                raise DomainError("table is not a Latin square")
-        ident = None
-        for e in range(n):
-            if all(self.table[e][j] == j and self.table[j][e] == j for j in range(n)):
-                ident = e
-                break
-        if ident is None:
+        flat = b"".join(rows)
+        ident = bytes(range(n))
+        e = next((e for e in range(n) if rows[e] == ident and flat[e::n] == ident), None)
+        if e is None:
             raise DomainError("no identity element")
-        object.__setattr__(self, "_identity", ident)
         # For each i, (ij)k = i(jk) for all j, k at once: left lays the rows
         # of the products ij end to end, right reads every row j through
-        # row i. Entries are below n <= 64, so the bytes rows built above
-        # let translate do the reads in C.
-        flat = b"".join(rows)
+        # row i. Entries are below n <= 64, so translate does the reads in C.
         pad = bytes(256 - n)
         for i in range(n):
-            left = b"".join(rows[ij] for ij in self.table[i])
+            left = b"".join(map(rows.__getitem__, self.table[i]))
             right = flat.translate(rows[i] + pad)
             if left != right:
                 at = next(p for p in range(n * n) if left[p] != right[p])
@@ -82,9 +76,13 @@ class FiniteGroup:
                     f"associativity fails at ({self.elements[i]}, "
                     f"{self.elements[j]}, {self.elements[k]})"
                 )
-        # each row holds the identity once (Latin square), and in a group a
-        # right inverse is also a left inverse
-        object.__setattr__(self, "_inv", tuple(row.index(ident) for row in self.table))
+        # the identity's place in row i is i's right inverse, which in a
+        # group is also its left inverse
+        inv = tuple(row.find(e) for row in rows)
+        if -1 in inv:
+            raise DomainError(f"{self.elements[inv.index(-1)]} has no inverse")
+        object.__setattr__(self, "_identity", e)
+        object.__setattr__(self, "_inv", inv)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -249,7 +247,11 @@ def _parity(p) -> int:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """A sorted index set, verified closed under product and inverse."""
+    """A sorted, non-empty index set, verified closed under product.
+
+    In a finite group that is enough: the identity and every inverse are
+    powers of a member.
+    """
 
     group: FiniteGroup
     members: tuple[int, ...]
@@ -263,13 +265,10 @@ class Subgroup:
         if any(not (0 <= i < len(g)) for i in mem):
             raise DomainError("subgroup member out of range")
         ms = set(mem)
-        if g.identity not in ms:
-            raise DomainError("subgroup misses the identity")
         for i in mem:
-            if g.inv(i) not in ms:
-                raise DomainError(f"subgroup not closed under inverse at {g.elements[i]}")
+            row = g.table[i]
             for j in mem:
-                if g.mul(i, j) not in ms:
+                if row[j] not in ms:
                     raise DomainError(
                         f"subgroup not closed under product at "
                         f"({g.elements[i]}, {g.elements[j]})"

@@ -201,15 +201,15 @@ def same_structure(h: GermLike, g: GermLike, k) -> Tri:
 class DiffeoL:
     """A certified order-k diffeomorphism between doubled-line structures.
 
-    The map is stored as its restriction germ on the punctured line plus the
-    origin action (the branch pair {0, 0~} always maps to itself, so fix or
+    The map is its restriction germ on the punctured line plus the origin
+    action (the branch pair {0, 0~} always maps to itself, so fix or
     exchange is the only freedom). pres_a and pres_b are the two chart
-    presentations:
+    presentations, read off the restriction:
 
-      fix:      pres_a = F read U -> U (equals the restriction),
-                pres_b = F read V -> V  (= h_t o pres_a o h_s^-1)
+      fix:      pres_a = F read U -> U  (= restriction),
+                pres_b = F read V -> V  (= h_t o restriction o h_s^-1)
       exchange: pres_a = F read V -> U  (= restriction o h_s^-1),
-                pres_b = F read U -> V  (= h_t o restriction; = h_t o pres_a o h_s)
+                pres_b = F read U -> V  (= h_t o restriction)
 
     certificate records how firmly the presentations were verified: TRUE for
     exact or conclusive numeric checks, INDETERMINATE when a numeric check
@@ -256,30 +256,35 @@ def apply_diffeo(d: DiffeoL, p: PointL) -> PointL:
     return PointL(evaluate(d.restriction, p.x))
 
 
-def _expected_b(a: GermLike, source: SpecialMinimalAtlas,
-                target: SpecialMinimalAtlas, origin_action: str) -> GermLike:
-    if origin_action == FIX:
-        return compose(target.h, compose(a, invert(source.h)))
-    return compose(target.h, compose(a, source.h))
-
-
 def build_diffeo(a: GermLike, b, source: SpecialMinimalAtlas,
                  target: SpecialMinimalAtlas, origin_action: str,
                  k: int = 1) -> DiffeoL:
     """Assemble a diffeomorphism from its chart presentation(s).
 
-    a is the presentation into the target U chart; b, if given, must satisfy
-    the compatibility identity (b = h_t o a o h_s^-1 for fix,
-    b = h_t o a o h_s for exchange) and is derived from it when None.
-    Both presentations are certified as order-k diffeomorphism germs; a
+    a is the presentation into the target U chart. It fixes the restriction:
+    a itself for fix, a o h_s for exchange. b, if given, must satisfy the
+    compatibility identity (b = h_t o a o h_s^-1 for fix, b = h_t o
+    restriction for exchange) and is derived from it when None. Both
+    presentations are certified as order-k diffeomorphism germs; a
     definitely-incompatible b raises IncompatiblePresentations carrying the
     residual germ b o expected^-1 (identity iff compatible).
     """
+    restriction = compose(a, source.h) if origin_action == EXCHANGE else a
+    return _diffeo(restriction, a, b, source, target, origin_action, k)
+
+
+def _diffeo(restriction: GermLike, a: GermLike, b, source: SpecialMinimalAtlas,
+            target: SpecialMinimalAtlas, origin_action: str, k: int) -> DiffeoL:
+    """The diffeomorphism with this restriction and U-chart presentation a;
+    b is derived, or checked against the derivation when given."""
     if origin_action not in (FIX, EXCHANGE):
         raise DomainError(f"unknown origin action {origin_action!r}")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    expected = _expected_b(a, source, target, origin_action)
+    if origin_action == FIX:
+        expected = compose(target.h, compose(a, invert(source.h)))
+    else:
+        expected = compose(target.h, restriction)
     certificate = Tri.TRUE
     if b is None:
         b = expected
@@ -304,10 +309,6 @@ def build_diffeo(a: GermLike, b, source: SpecialMinimalAtlas,
             )
         if tri is Tri.INDETERMINATE:
             certificate = Tri.INDETERMINATE
-    if origin_action == FIX:
-        restriction = a
-    else:
-        restriction = compose(a, source.h)
     return DiffeoL(restriction, origin_action, source, target, a, b, k, certificate)
 
 
@@ -351,7 +352,7 @@ def _origin_swap(a, sign: int, source, target, k: int) -> DiffeoL:
     root = real_sqrt(a)
     restriction = Germ.from_sides([(-sign / root, 1)], [(sign * root, 1)])
     pres_a = compose(restriction, invert(source.h))
-    return build_diffeo(pres_a, None, source, target, EXCHANGE, k)
+    return _diffeo(restriction, pres_a, None, source, target, EXCHANGE, k)
 
 
 def compose_diffeo(d2: DiffeoL, d1: DiffeoL) -> DiffeoL:
@@ -363,12 +364,8 @@ def compose_diffeo(d2: DiffeoL, d1: DiffeoL) -> DiffeoL:
         )
     action = FIX if d1.origin_action == d2.origin_action else EXCHANGE
     restriction = compose(d2.restriction, d1.restriction)
-    k = min(d1.k, d2.k)
-    if action == FIX:
-        pres_a = restriction
-    else:
-        pres_a = compose(restriction, invert(d1.source.h))
-    return build_diffeo(pres_a, None, d1.source, d2.target, action, k)
+    pres_a = restriction if action == FIX else compose(restriction, invert(d1.source.h))
+    return _diffeo(restriction, pres_a, None, d1.source, d2.target, action, min(d1.k, d2.k))
 
 
 # ---------------------------------------------------------------------------

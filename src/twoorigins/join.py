@@ -633,17 +633,21 @@ class ChainAtlas:
 
 
 def _check_transition(g, name: str, overlap: Optional[tuple] = None) -> None:
-    """NotJoinable unless g is an increasing numeric self-map of the overlap
-    (by default its own domain) fixing its ends."""
+    """NotJoinable unless g is an increasing numeric self-map of its domain
+    fixing the domain's ends, with the domain on the overlap when one is
+    given. The ends are measured against the domain in every call, so a map
+    the atlas accepts passes the same test again in the glue."""
     if not isinstance(g, NumericDiffeo):
         raise NotJoinable(f"{name} is not a numeric map")
-    lo, hi = overlap or g.domain
-    scale = max(1.0, abs(lo), abs(hi))
-    if abs(g.domain[0] - lo) > _ENDPOINT_TOL * scale \
-            or abs(g.domain[1] - hi) > _ENDPOINT_TOL * scale:
-        raise NotJoinable(f"{name} lives on {g.domain}, expected the overlap {overlap}")
+    lo, hi = g.domain
+    if overlap is not None:
+        scale = max(1.0, abs(overlap[0]), abs(overlap[1]))
+        if abs(lo - overlap[0]) > _ENDPOINT_TOL * scale \
+                or abs(hi - overlap[1]) > _ENDPOINT_TOL * scale:
+            raise NotJoinable(f"{name} lives on {g.domain}, expected the overlap {overlap}")
     if not g.increasing:
         raise NotJoinable(f"{name} must preserve orientation")
+    scale = max(1.0, abs(lo), abs(hi))
     if abs(g.ys[0] - lo) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - hi) > _ENDPOINT_TOL * scale:
         raise NotJoinable(f"{name} does not fix the overlap ends")
 

@@ -125,7 +125,7 @@ def test_cosets_malformed_group_json_exits_input(write, change, capsys):
            "subgroups": {"A": ["e", "s"]}}
     path = write("bad_group.json", {**doc, **change})
     assert run(["cosets", path, "--D", "A", "--pm"]) == EXIT_INPUT
-    assert "malformed group JSON" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"input error: {path}: malformed group JSON")
 
 
 # -- classify -----------------------------------------------------------------
@@ -399,7 +399,7 @@ def test_join_disjoint_charts_not_joinable(write, capsys):
     spec["charts"][1]["image"] = [2.5, 4.0]
     path = write("disjoint.json", spec)
     assert run(["join", path]) == EXIT_NEGATIVE
-    assert "not joinable" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(f"not joinable: {path}: images of charts")
 
 
 def test_verify_seam_map(write, capsys):

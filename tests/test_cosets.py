@@ -26,7 +26,8 @@ from twoorigins.cosets import (
 )
 from twoorigins.errors import DomainError
 
-from coset_oracles import corpus_groups, double_coset_blocks, wreath_orbits
+from coset_oracles import (corpus_groups, double_coset_blocks, is_group, is_subgroup,
+                           wreath_orbits)
 
 
 def d3():
@@ -76,9 +77,67 @@ def test_direct_product_order_and_commuting_factors():
 def test_from_table_rejects_non_latin_square():
     with pytest.raises(DomainError):
         FiniteGroup.from_table(["e", "a"], [[0, 0], [1, 1]])
-    # a float passes the range, Latin-square and identity checks
+    # a float equal to an index would pass the identity, associativity and
+    # inverse checks
     with pytest.raises(DomainError, match="must be integers"):
         FiniteGroup.from_table(["e", "a"], [[0, 1.0], [1, 0]])
+
+
+def _accepted(names, table) -> bool:
+    try:
+        FiniteGroup.from_table(names, table)
+    except DomainError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("n,groups", [(2, 2), (3, 3)])
+def test_every_table_on_two_and_three_elements_is_a_group_exactly_when_accepted(n, groups):
+    names = [f"x{v}" for v in range(n)]
+    accepted = 0
+    for flat in itertools.product(range(n), repeat=n * n):
+        table = [flat[i:i + n] for i in range(0, n * n, n)]
+        ok = _accepted(names, table)
+        assert ok == is_group(table), table
+        accepted += ok
+    # one labelled group per choice of identity for n = 2, and the three
+    # labellings of Z3 for n = 3
+    assert accepted == groups
+
+
+@pytest.mark.parametrize("group", [
+    FiniteGroup.cyclic(4),
+    FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+])
+def test_tables_one_entry_from_a_group_are_accepted_exactly_when_groups(group):
+    n = len(group)
+    assert _accepted(group.elements, group.table) and is_group(group.table)
+    for i, j in itertools.product(range(n), repeat=2):
+        for v in range(n):
+            if v != group.table[i][j]:
+                table = [list(row) for row in group.table]
+                table[i][j] = v
+                assert _accepted(group.elements, table) == is_group(table), (i, j, v)
+
+
+@pytest.mark.parametrize("group,subgroups", [
+    (FiniteGroup.dihedral(3), 6),
+    (FiniteGroup.quaternion8(), 6),
+    (FiniteGroup.alternating4(), 10),
+])
+def test_every_subset_is_a_subgroup_exactly_when_accepted(group, subgroups):
+    n = len(group)
+    accepted = 0
+    for mask in range(1, 1 << n):
+        subset = [i for i in range(n) if mask >> i & 1]
+        try:
+            Subgroup(group, tuple(subset))
+            ok = True
+        except DomainError:
+            ok = False
+        assert ok == is_subgroup(group, set(subset)), subset
+        accepted += ok
+    assert accepted == subgroups
 
 
 def test_group_order_cap():

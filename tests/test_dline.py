@@ -1,5 +1,6 @@
 """The line with two origins: points, atlases, structures, diffeomorphisms."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -41,6 +42,7 @@ from twoorigins.germs import (
     make_wa,
     poly_germ,
 )
+from twoorigins.realnum import real_sqrt
 
 W2 = SpecialMinimalAtlas(make_wa(2))
 
@@ -210,6 +212,16 @@ def test_psi_exact_presentations(a, root):
     assert germ_equal(d.pres_a, Germ.from_sides([(inv_root, 1)], [(-inv_root, 1)]))
     assert germ_equal(d.pres_b, Germ.from_sides([(root, 1)], [(-root, 1)]))
     assert d.certificate is Tri.TRUE
+
+
+def test_psi_restriction_is_its_closed_form_for_irrational_roots():
+    # most of these a have no rational root, so root is a float and a
+    # coefficient computed any other way can land an ulp off
+    rng = random.Random(2406)
+    for _ in range(200):
+        a = F(rng.randint(1, 200), rng.randint(1, 50))
+        root = real_sqrt(a)
+        assert psi(a).restriction == Germ.from_sides([(1 / root, 1)], [(-root, 1)]), a
 
 
 def test_psi_swaps_origins_and_squares_to_identity():

@@ -541,6 +541,20 @@ def test_chain_atlas_validation():
     ChainAtlas(charts, (good,))  # sane chain passes
 
 
+def test_chain_atlas_measures_transition_ends_as_the_glue_does():
+    # the domain starts 1.9e-9 above the overlap and the first value 1.9e-9
+    # below it: each is within the 2e-9 tolerance of the overlap, but the
+    # value is 3.8e-9 from the domain, which the glue compares it with
+    charts = (IntervalChart("a", (0.0, 2.0)), IntervalChart("b", (1.0, 3.0)))
+    lo = 1.0 + 1.9e-9
+    xs = tuple(np.linspace(lo, 2.0, 17))
+    g = NumericDiffeo(xs, (1.0 - 1.9e-9,) + xs[1:])
+    with pytest.raises(NotJoinable, match="does not fix the overlap ends"):
+        ChainAtlas(charts, (g,))
+    with pytest.raises(NotJoinable, match="does not fix the overlap ends"):
+        glue_auto(g)
+
+
 def test_chain_atlas_rejects_triple_overlap():
     charts = (
         IntervalChart("a", (0.0, 3.0)),
