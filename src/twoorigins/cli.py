@@ -69,6 +69,19 @@ def _entry_json(v):
     return float(v)
 
 
+def _real_json(x):
+    """x as a float when one holds it, else as its exact rational string,
+    which germ_from_json and Fraction read back. A float holds x when the
+    conversion neither overflows nor turns a nonzero x into 0. Only classify
+    writes this way: its text form prints no coefficient, so its two forms
+    answer the same inputs."""
+    try:
+        f = float(x)
+    except OverflowError:
+        return str(x)
+    return f if f != 0.0 or x == 0 else str(x)
+
+
 def _parse_file(path: str, parse):
     """parse applied to the JSON in path; a DomainError it raises, of
     whatever subclass, names the file."""
@@ -126,9 +139,9 @@ def _cmd_classify(args) -> int:
     cls_, witnesses = diffeo_classes(args.a, args.b, args.k)
     itype = intersection_type(args.a, args.b, args.k)
     if args.json:
-        payload = classification_to_json(cls_, witnesses)
-        payload["a"] = float(args.a)
-        payload["b"] = float(args.b)
+        payload = classification_to_json(cls_, witnesses, real=_real_json)
+        payload["a"] = _real_json(args.a)
+        payload["b"] = _real_json(args.b)
         payload["k"] = args.k
         payload["intersection"] = itype
         _print_json(payload)

@@ -844,12 +844,14 @@ def germ_match(g: GermLike, h: GermLike) -> Tri:
     return Tri.INDETERMINATE
 
 
-def germ_to_json(g: Germ) -> dict:
-    """JSON form: {"neg": [{"c": ..., "e": ...}], "pos": [...], "orientation": ...}."""
+def germ_to_json(g: Germ, real=float) -> dict:
+    """JSON form: {"neg": [{"c": ..., "e": ...}], "pos": [...], "orientation": ...},
+    with each coefficient and exponent written by real (a float by default;
+    germ_from_json also reads exact rational strings)."""
     if not isinstance(g, Germ):
         raise DomainError("numeric germs are in-memory only and are not serialized")
     def side(s: SideExpansion):
-        return [{"c": float(t.coeff), "e": float(t.exponent)} for t in s.terms]
+        return [{"c": real(t.coeff), "e": real(t.exponent)} for t in s.terms]
     return {"neg": side(g.neg), "pos": side(g.pos), "orientation": g.orientation}
 
 

@@ -78,15 +78,27 @@ def _array_rule(fn: Callable, probe: np.ndarray) -> Callable:
     return lambda xs: np.array([float(fn(x)) for x in xs])
 
 
-def _central_slope(f: Callable, xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """4th-order central first derivative of the array rule f at xs inside
-    (lo, hi); the step shrinks near the ends of the interval."""
+def _slope_nodes(xs: np.ndarray, lo: float, hi: float) -> tuple:
+    """The nodes of the 4th-order central first-derivative stencil at xs
+    inside (lo, hi), four per point, and the steps, which shrink near the
+    ends of the interval."""
     span = hi - lo
     h = np.maximum(np.minimum(np.minimum(1e-5 * span, (xs - lo) / 2.5), (hi - xs) / 2.5),
                    1e-12 * span)
-    nodes = np.concatenate((xs + 2 * h, xs + h, xs - h, xs - 2 * h))
-    f2, f1, m1, m2 = np.asarray(f(nodes), dtype=float).reshape(4, -1)
+    return np.concatenate((xs + 2 * h, xs + h, xs - h, xs - 2 * h)), h
+
+
+def _slope_from(values: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """The central first derivatives from the values at _slope_nodes."""
+    f2, f1, m1, m2 = np.asarray(values, dtype=float).reshape(4, -1)
     return (-f2 + 8 * f1 - 8 * m1 + m2) / (12 * h)
+
+
+def _central_slope(f: Callable, xs: np.ndarray, lo: float, hi: float) -> np.ndarray:
+    """4th-order central first derivative of the array rule f at xs inside
+    (lo, hi)."""
+    nodes, h = _slope_nodes(xs, lo, hi)
+    return _slope_from(f(nodes), h)
 
 
 # ---------------------------------------------------------------------------
@@ -140,12 +152,13 @@ _PANEL_OFFSETS = tuple(i / 8.0 for i in range(9))
 _PANEL_WEIGHTS = tuple(w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0))
 
 
-def _panel_integrals(f: Callable, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Fixed 4-panel composite Simpson of the array rule f on each
-    [left[i], right[i]]."""
+def _panel_integrals(left: np.ndarray, right: np.ndarray, *fs: Callable) -> list:
+    """Fixed 4-panel composite Simpson of each array rule in fs on each
+    [left[i], right[i]], all on one set of nodes."""
     widths = right - left
     nodes = (left[:, None] + widths[:, None] * np.array(_PANEL_OFFSETS)).ravel()
-    return (f(nodes).reshape(-1, 9) @ np.array(_PANEL_WEIGHTS)) * widths
+    weights = np.array(_PANEL_WEIGHTS)
+    return [(f(nodes).reshape(-1, 9) @ weights) * widths for f in fs]
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +181,14 @@ class _Plateau:
     q(t) = exp(-1/t), which satisfies s(t) + s(1-t) = 1. That identity makes
     cross-fades of two plateaus sum to exactly 1, so gluing the identity to
     itself reproduces the identity with no quadrature wobble.
+
+    The value is s((x - l0)/(l1 - l0)) * s((r0 - x)/(r0 - r1)), but a call
+    runs the smoothstep only on the nodes in the bands (l0, l1) and
+    (r1, r0) and writes 0 and 1 elsewhere. That is the product to the bit:
+    float subtraction and division by a positive constant are monotone, so
+    at and past l1 the left argument is at least 1 (and s of it exactly 1),
+    at and before l0 it is at most 0, and the same holds on the right; the
+    bands are disjoint, so the other factor is exactly 1 in either of them.
     """
 
     __slots__ = ("l0", "l1", "r1", "r0")
@@ -182,8 +203,12 @@ class _Plateau:
 
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        return (_smoothstep_arr((xs - self.l0) / (self.l1 - self.l0))
-                * _smoothstep_arr((self.r0 - xs) / (self.r0 - self.r1)))
+        out = ((xs >= self.l1) & (xs <= self.r1)).astype(float)
+        up = np.flatnonzero((xs > self.l0) & (xs < self.l1))
+        out[up] = _smoothstep_arr((xs[up] - self.l0) / (self.l1 - self.l0))
+        down = np.flatnonzero((xs > self.r1) & (xs < self.r0))
+        out[down] = _smoothstep_arr((self.r0 - xs[down]) / (self.r0 - self.r1))
+        return out
 
 
 def bump_plateau(l0, l1, r1, r0) -> _Plateau:
@@ -259,11 +284,13 @@ class ComposedMap:
 class PiecewiseMonotone:
     """Strictly increasing map assembled from pieces on a breakpoint grid.
 
-    pieces[i] covers [breakpoints[i], breakpoints[i+1]]; continuity at the
-    interior breakpoints is validated at construction, strict monotonicity is
-    spot-checked on a sample grid. The seams are the interior breakpoints
-    plus any extras the builder knows about (e.g. images of seams of an
-    ingredient map).
+    pieces[i] covers [breakpoints[i], breakpoints[i+1]]. Construction calls
+    each piece once, on 9 evenly spaced points of its cell from breakpoint
+    to breakpoint: the end values of neighbouring pieces must agree at each
+    interior breakpoint (continuity), and the samples in order must not
+    decrease (a spot check of strict monotonicity). The seams are the
+    interior breakpoints plus any extras the builder knows about (e.g.
+    images of seams of an ingredient map).
     """
 
     breakpoints: tuple
@@ -278,16 +305,19 @@ class PiecewiseMonotone:
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must strictly increase")
         scale = max(1.0, abs(bps[0]), abs(bps[-1]))
+        # linspace returns both ends exactly, so the samples hold each
+        # piece's values at its breakpoints
+        samples = [piece(np.linspace(bps[i], bps[i + 1], 9)).tolist()
+                   for i, piece in enumerate(self.pieces)]
         for i in range(1, len(bps) - 1):
-            left = self.pieces[i - 1](bps[i])
-            right = self.pieces[i](bps[i])
+            left, right = samples[i - 1][-1], samples[i][0]
             if abs(left - right) > 1e-8 * scale:
                 raise DomainError(
                     f"pieces disagree at breakpoint {bps[i]}: {left} vs {right}"
                 )
         prev = None
-        for i, piece in enumerate(self.pieces):
-            for val in piece(np.linspace(bps[i], bps[i + 1], 9)).tolist():
+        for vals in samples:
+            for val in vals:
                 if prev is not None and val <= prev - 1e-12 * scale:
                     raise DomainError("assembled map is not increasing")
                 prev = max(val, prev) if prev is not None else val
@@ -487,13 +517,14 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     def alpha(t: np.ndarray) -> np.ndarray:
         """F + R*g', reading g' only where R is nonzero."""
         r = R(t)
-        gp = np.zeros_like(t)
-        mask = r > 0.0
-        if mask.any():
-            gp[mask] = g.derivative_grid(t[mask])
-            if np.any(gp[mask] <= 0.0):
+        out = F(t)
+        live = np.flatnonzero(r)
+        if live.size:
+            gp = g.derivative_grid(t[live])
+            if np.any(gp <= 0.0):
                 raise DomainError("transition derivative is not positive on the grid")
-        return F(t) + r * gp
+            out[live] += r[live] * gp
+        return out
 
     # a grid node within rounding (1e-12 of the scale) of a seam would leave
     # a cell too thin to stay increasing once the samples are snapped: the
@@ -505,8 +536,8 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     # import that np.unique makes on its first call
     xs = np.sort(np.concatenate((grid[~near], (lo_seam, hi_seam))))
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    i_alpha = np.concatenate(([0.0], np.cumsum(_panel_integrals(alpha, xs[:-1], xs[1:]))))
-    i_beta = np.concatenate(([0.0], np.cumsum(_panel_integrals(beta, xs[:-1], xs[1:]))))
+    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(cells)))
+                       for cells in _panel_integrals(xs[:-1], xs[1:], alpha, beta))
 
     i_fit = int(np.searchsorted(xs, hi_seam))
     target = float(g(hi_seam))
@@ -536,7 +567,7 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
 
     def between(t: np.ndarray) -> np.ndarray:
         i = np.searchsorted(xs, t, side="right") - 1
-        return ys[i] + _panel_integrals(gamma, xs[i], t)
+        return ys[i] + _panel_integrals(xs[i], t, gamma)[0]
 
     def p_call(x: np.ndarray) -> np.ndarray:
         return np.piecewise(x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],
@@ -549,6 +580,8 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
 def glue_auto(g: NumericDiffeo, n: int = 4096, retries: int = 6) -> NumericDiffeo:
     """Glue with automatic eps: start at an eighth of the span, halve on
     infeasibility, give up after the retry budget."""
+    if retries < 0:
+        raise DomainError(f"the retry budget must be at least 0, got {retries}")
     b, c = g.domain
     eps = (c - b) / 8.0
     last = None
@@ -711,35 +744,42 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     admits maps with a vanishing one-sided slope at a seam. Failures are
     reported, never raised; values so large that the grid slope overflows
     raise DomainError.
+
+    The map is called once: on the four central-stencil nodes of each of the
+    31 interior grid points and on the one-sided stencil nodes of every
+    order at both sides of every seam, together.
     """
     tols = _tolerances(k, tol)
     lo, hi = map_obj.domain
     span = hi - lo
     seams = sorted(s for s in getattr(map_obj, "seams", ()) if lo < s < hi)
 
-    min_slope = math.inf
     # grid slopes, nudged off any seam
     grid = lo + span * np.arange(1, _SLOPE_GRID) / _SLOPE_GRID
     if seams:
         near = np.min(np.abs(grid[:, None] - np.array(seams)), axis=1) < span / (4 * _SLOPE_GRID)
         grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
-    grid = grid[(lo < grid) & (grid < hi)]
-    if grid.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            min_slope = float(np.min(_central_slope(map_obj, grid, lo, hi)))
-        if not math.isfinite(min_slope):
-            raise DomainError("map values too large: the slope estimate overflows")
+    slope_nodes, h = _slope_nodes(grid[(lo < grid) & (grid < hi)], lo, hi)
 
-    # one-sided estimates of orders 1..k on both sides of every seam, from
-    # one call on all their stencil nodes; plan holds (left, right) pairs
+    # one-sided estimates of orders 1..k on both sides of every seam; plan
+    # holds (left, right) pairs
     bounds = [lo] + seams + [hi]
     plan = [(s, j, sign, _numerics.halving(0.8 * gap / j, 12))
             for idx, s in enumerate(seams) for j in range(1, k + 1)
             for sign, gap in ((-1.0, s - bounds[idx]), (1.0, bounds[idx + 2] - s))]
-    nodes = [s + o for s, j, sign, steps in plan
-             for row in _numerics.offsets(j, steps, sign) for o in row]
-    values = iter(map_obj(np.array(nodes)).tolist() if nodes else ())
-    estimates = [_numerics.one_sided([[next(values) for _ in range(j + 1)] for _ in steps],
+    nodes = np.concatenate((slope_nodes, [s + o for s, j, sign, steps in plan
+                                          for row in _numerics.offsets(j, steps, sign)
+                                          for o in row]))
+    values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
+
+    min_slope = math.inf
+    if h.size:
+        with np.errstate(over="ignore", invalid="ignore"):
+            min_slope = float(np.min(_slope_from(values[:slope_nodes.size], h)))
+        if not math.isfinite(min_slope):
+            raise DomainError("map values too large: the slope estimate overflows")
+    seam_values = iter(values[slope_nodes.size:].tolist())
+    estimates = [_numerics.one_sided([[next(seam_values) for _ in range(j + 1)] for _ in steps],
                                      j, steps, sign)[0]
                  for s, j, sign, steps in plan]
 

@@ -8,11 +8,22 @@ seed mod 3, each collapsed at k = 1 and k = 2 with tol 1e-3, and for each
 seed a two-chart spec joined with join_charts at k = 2. For every case the
 dump holds the certificates, the steps and chart, the glue reports, the
 collapse_to_json payload, and every transition's domain, seams and values at
-31 interior points of its chart. Floats are written by repr, so two trees
-that compute the same bits write the same bytes: run it on both and cmp.
+31 interior points of its chart.
+
+It also holds the other op kinds of the chain_collapse workload, taken from
+the first 120 ops of perfbench/gen.stream("chain_collapse", s) for
+s = 0-9 and built as the workload builds them: 100 glue_steep glues, whose
+steep transitions make glue_auto halve eps at least once (the thinnest
+plateau bands), each with its glue report, a digest of its samples and its
+values at 31 interior points; and 100 verify_smooth and 100 verify_corner
+certificates.
+
+Floats are written by repr, so two trees that compute the same bits write
+the same bytes: run it on both and cmp.
 """
 
 import dataclasses
+import hashlib
 import json
 import random
 import sys
@@ -79,6 +90,24 @@ def main(path: str) -> None:
                       "passed": res.passed, "glue": glue,
                       "certs": [res.cert_u.to_json(), res.cert_v.to_json()],
                       "maps": maps((res.trans_u, res.trans_v), atlas.charts)})
+    for seed in range(10):
+        for op in gen.take("chain_collapse", seed, 120):
+            lo, hi = op.get("lo"), op.get("hi")
+            if op["kind"] == "glue_steep":
+                g = join.NumericDiffeo.from_function(
+                    gen.steep_map(lo, hi, op["p"], op["w"]), (lo, hi), n=512)
+                p = join.glue_auto(g)
+                samples = np.array((p.xs, p.ys)).tobytes()
+                cases.append({"glue_steep": [seed, op["id"]],
+                              "glue": dataclasses.asdict(p.glue),
+                              "samples": hashlib.sha256(samples).hexdigest(),
+                              "maps": maps((p,), (join.IntervalChart("g", (lo, hi)),))})
+            elif op["kind"] in ("verify_smooth", "verify_corner"):
+                fn = (gen.smooth_map(lo, op["c"]) if op["kind"] == "verify_smooth"
+                      else gen.corner_map(op["seam"], op["c"]))
+                d = join.NumericDiffeo.from_function(fn, (lo, hi), n=256, seams=(op["seam"],))
+                cases.append({op["kind"]: [seed, op["id"]],
+                              "cert": join.verify_ck_numeric(d, op["k"]).to_json()})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True)
         fh.write("\n")

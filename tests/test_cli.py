@@ -11,7 +11,7 @@ import pytest
 from twoorigins import cli, join
 from twoorigins.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, run
 from twoorigins.cosets import FiniteGroup
-from twoorigins.germs import compose, germ_to_json, poly_germ
+from twoorigins.germs import compose, germ_from_json, germ_to_json, poly_germ
 from twoorigins.join import NumericDiffeo
 
 
@@ -160,6 +160,23 @@ def test_classify_takes_numbers_past_float_range(capsys):
     # w_a cells need only exact rationals, so 1e400 is no input error
     assert run(["classify", "--a", "1e400", "--b", "1e-400"]) == EXIT_OK
     assert "intersection_type" in capsys.readouterr().out
+    # the payload writes a value no float holds as its exact rational string
+    assert run(["classify", "--a", "1e400", "--b", "1e-400", "--json"]) == EXIT_OK
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["a"] == str(10 ** 400)
+    assert payload["b"] == f"1/{10 ** 400}"
+    assert payload["cells"] == {"fix+": False, "fix-": True, "ex+": True, "ex-": False}
+    # the witnesses fit: the exchanging one scales by 10^200
+    ex = [w for w in payload["witnesses"] if w["cell"] == "ex+"]
+    assert ex[0]["restriction"]["pos"] == [{"c": 1e200, "e": 1.0}]
+    # a witness past the float range is written exactly and reads back
+    assert run(["classify", "--a", "1e700", "--b", "1e-700"]) == EXIT_OK
+    capsys.readouterr()
+    assert run(["classify", "--a", "1e700", "--b", "1e-700", "--json"]) == EXIT_OK
+    payload = assert_canonical_json(capsys.readouterr().out)
+    ex = [w for w in payload["witnesses"] if w["cell"] == "ex+"]
+    assert ex[0]["restriction"]["pos"] == [{"c": str(10 ** 350), "e": 1.0}]
+    assert germ_from_json(ex[0]["restriction"]).pos.terms[0].coeff == Fraction(10) ** 350
 
 
 # -- germ algebra ---------------------------------------------------------------

@@ -122,6 +122,25 @@ def test_bump_plateau_validates_knots():
         bump_plateau(0.0, 2.0, 1.0, 3.0)
 
 
+@pytest.mark.parametrize("knots", [(-1.0, 0.5, 2.0, 3.25), (-1.0, 0.5, 0.5, 2.0),
+                                   (2.9375, 3.0, 3.0625, 3.125),
+                                   (-7.0, -7.0 + 2.0 ** -40, 1e3, 1e6)])
+def test_banded_plateau_is_the_smoothstep_product_bit_for_bit(knots):
+    f = bump_plateau(*knots)
+    l0, l1, r1, r0 = knots
+    rng = np.random.default_rng(20)
+    width = r0 - l0
+    xs = np.concatenate((
+        rng.uniform(l0 - 0.5 * width, r0 + 0.5 * width, 4000),
+        rng.uniform(l0, l1, 500), rng.uniform(r1, r0, 500),
+        [np.nextafter(k, d) for k in knots for d in (-np.inf, np.inf)], knots,
+        [-np.inf, np.inf]))
+    product = (join_mod._smoothstep_arr((xs - l0) / (l1 - l0))
+               * join_mod._smoothstep_arr((r0 - xs) / (r0 - r1)))
+    assert np.array_equal(f(xs).view(np.int64), product.view(np.int64))
+    assert [f(float(x)) for x in xs[-10:]] == product[-10:].tolist()
+
+
 # -- elementary maps ----------------------------------------------------------
 
 
@@ -153,13 +172,50 @@ def test_piecewise_monotone_routing_and_checks():
     assert p(0.5) == 0.5
     assert p(1.5) == 2.0
     assert p.seams == (1.0,)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"pieces disagree at breakpoint 1\.0: 1\.0 vs 7\.0"):
         PiecewiseMonotone(
             (0.0, 1.0, 2.0),
             (IdentityMap((0.0, 1.0)), AffineMap(2.0, 5.0, domain=(1.0, 2.0))),
         )
     with pytest.raises(DomainError):
         PiecewiseMonotone((0.0, 1.0), (AffineMap(-1.0, 1.0, domain=(0.0, 1.0)),))
+
+
+class Counted:
+    """A map that counts its calls; domain and seams are the wrapped map's."""
+
+    def __init__(self, fn, domain=None, seams=()):
+        self.fn, self.calls, self.domain, self.seams = fn, 0, domain, seams
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.fn(x)
+
+
+def test_piecewise_monotone_calls_each_piece_once():
+    g = overlap_transition(1.0, 2.0, 0.4)
+    pieces = (Counted(IdentityMap((0.0, 1.0))), Counted(g), Counted(AffineMap(1.0, 0.0)))
+    p = PiecewiseMonotone((0.0, 1.0, 2.0, 3.0), pieces)
+    assert [c.calls for c in pieces] == [1, 1, 1]
+    assert p(2.5) == 2.5
+    # a breaking piece is still found, after one call of each
+    pieces = (Counted(IdentityMap((0.0, 1.0))), Counted(AffineMap(1.0, 1e-6)))
+    with pytest.raises(DomainError, match="pieces disagree at breakpoint 1.0"):
+        PiecewiseMonotone((0.0, 1.0, 2.0), pieces)
+    assert [c.calls for c in pieces] == [1, 1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 4])
+def test_verify_calls_its_map_once_per_certificate(k):
+    g = overlap_transition(1.0, 2.0, 0.4)
+    glued = glue_id_and_diff(g, 0.1, n=512)
+    smooth = NumericDiffeo.from_function(lambda x: x + 0.1 * x * x, (0.0, 1.0), n=256,
+                                         seams=(0.3, 0.5))
+    for m in (g, glued, smooth):
+        counted = Counted(m, m.domain, m.seams)
+        cert = verify_ck_numeric(counted, k, tol=1e-3)
+        assert counted.calls == 1
+        assert cert == verify_ck_numeric(m, k, tol=1e-3)
 
 
 # -- sampled diffeomorphisms ----------------------------------------------------
@@ -359,6 +415,16 @@ def test_glue_auto_narrows_eps_until_feasible():
     assert p.glue.lam > 0.0
     with pytest.raises(GlueInfeasible):
         glue_auto(g, n=512, retries=0)
+
+
+def test_glue_auto_rejects_a_negative_retry_budget(monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("no glue may start")
+
+    monkeypatch.setattr(join_mod, "glue_id_and_diff", never)
+    g = NumericDiffeo.from_function(lambda x: x**2, (0.0, 1.0), n=64)
+    with pytest.raises(DomainError, match="retry budget"):
+        glue_auto(g, retries=-1)
 
 
 @settings(max_examples=10, deadline=None)
