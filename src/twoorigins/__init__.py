@@ -104,6 +104,6 @@ from .join import (
     join_charts,
     verify_ck_numeric,
 )
-from .realnum import REAL_TOL, is_integral, real_eq, real_pow, real_sqrt, to_real
+from .realnum import REAL_TOL, is_integral, real_eq, real_json, real_pow, real_sqrt, to_real
 
 __version__ = "0.1.0"

@@ -5,6 +5,10 @@ Subcommands mirror the library: `cosets`, `classify`, `germ`, `structure`,
 machine-readable output (sorted keys, compact separators, one line), which
 round-trips byte-identically through json.loads/dumps.
 
+Numbers are read exactly ('2', '0.5', '1/3', '1e400') and written as a float
+where a float holds the value, as the exact rational string otherwise
+(realnum.real_json), which every command reads back.
+
 Exit codes are part of the interface:
 
 * 0 - success / affirmative answer
@@ -29,7 +33,7 @@ from .germs import (NONEXISTENT, Germ, NumericGerm, Tri, compose, germ_from_json
                     germ_match, germ_to_json, invert, jet_of, smoothness_at_zero)
 from .join import (NumericDiffeo, chain_from_json, collapse_chain,
                    collapse_to_json, verify_ck_numeric)
-from .realnum import real_sqrt
+from .realnum import real_json, real_sqrt
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -37,28 +41,19 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 
 
-def _load_json(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
-
-
 def _print_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
 
 
 def _rational(text: str) -> Fraction:
-    """Exact parse of CLI numbers: '2', '0.5' and '1/3' all stay rational."""
+    """Exact parse of CLI numbers: '2', '0.5' and '1/3' all stay rational.
+    The commands echo the number, so Python must be able to print it."""
     try:
-        return Fraction(text)
+        x = Fraction(text)
+        str(x)
     except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a number, or too many digits: {text!r}") from exc
+    return x
 
 
 def _entry_json(v):
@@ -66,26 +61,19 @@ def _entry_json(v):
         return "nonexistent"
     if v is None:
         return None
-    return float(v)
-
-
-def _real_json(x):
-    """x as a float when one holds it, else as its exact rational string,
-    which germ_from_json and Fraction read back. A float holds x when the
-    conversion neither overflows nor turns a nonzero x into 0. Only classify
-    writes this way: its text form prints no coefficient, so its two forms
-    answer the same inputs."""
-    try:
-        f = float(x)
-    except OverflowError:
-        return str(x)
-    return f if f != 0.0 or x == 0 else str(x)
+    return real_json(v)
 
 
 def _parse_file(path: str, parse):
     """parse applied to the JSON in path; a DomainError it raises, of
     whatever subclass, names the file."""
-    data = _load_json(path)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            data = json.loads(fh.read())
+    except OSError as exc:
+        raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
+    except ValueError as exc:  # also bad UTF-8 and an integer past Python's digit limit
+        raise DomainError(f"{path}: invalid JSON: {exc}") from exc
     try:
         return parse(data)
     except DomainError as exc:
@@ -96,10 +84,11 @@ def _parse_file(path: str, parse):
 def _germ_text(g: Germ) -> str:
     d = germ_to_json(g)
 
-    def side(terms, var):
-        if not terms:
-            return "0"
-        return " + ".join(f"{t['c']:g}*{var}^{t['e']:g}" for t in terms)
+    def num(x):
+        return f"{x:g}" if isinstance(x, float) else x
+
+    def side(terms, var):  # a side has at least one term
+        return " + ".join(f"{num(t['c'])}*{var}^{num(t['e'])}" for t in terms)
 
     return (f"neg: {side(d['neg'], '(-x)')}   pos: {side(d['pos'], 'x')}   "
             f"[{d['orientation']}]")
@@ -139,9 +128,9 @@ def _cmd_classify(args) -> int:
     cls_, witnesses = diffeo_classes(args.a, args.b, args.k)
     itype = intersection_type(args.a, args.b, args.k)
     if args.json:
-        payload = classification_to_json(cls_, witnesses, real=_real_json)
-        payload["a"] = _real_json(args.a)
-        payload["b"] = _real_json(args.b)
+        payload = classification_to_json(cls_, witnesses)
+        payload["a"] = real_json(args.a)
+        payload["b"] = real_json(args.b)
         payload["k"] = args.k
         payload["intersection"] = itype
         _print_json(payload)
@@ -236,7 +225,7 @@ def _cmd_structure(args) -> int:
 def _cmd_psi(args) -> int:
     d = psi(args.a)
     payload = {
-        "a": float(args.a),
+        "a": real_json(args.a),
         "origin_action": d.origin_action,
         "restriction": germ_to_json(d.restriction),
         "presentations": {"a": germ_to_json(d.pres_a), "b": germ_to_json(d.pres_b)},
@@ -270,6 +259,13 @@ def _cmd_psi(args) -> int:
     return EXIT_OK if ok else EXIT_NEGATIVE
 
 
+def _print_cert(cert, indent: str) -> None:
+    print(f"{indent}C^{cert.order} certificate: {'passed' if cert.passed else 'FAILED'}")
+    print(f"  residuals: {', '.join(f'{r:.3e}' for r in cert.residuals)}"
+          f"  (tolerances {', '.join(f'{t:.0e}' for t in cert.tolerances)})")
+    print(f"  min slope: {cert.min_slope:.6f}")
+
+
 def _cmd_join(args) -> int:
     atlas, k, tol = _parse_file(args.spec, chain_from_json)
     if args.k is not None:
@@ -282,12 +278,8 @@ def _cmd_join(args) -> int:
         _print_json(payload)
     else:
         a, b = result.chart.image
-        cert = result.cert
         print(f"joined {len(atlas.charts)} charts onto ({a}, {b})")
-        print(f"  C^{cert.order} certificate: {'passed' if cert.passed else 'FAILED'}")
-        print(f"  residuals: {', '.join(f'{r:.3e}' for r in cert.residuals)}"
-              f"  (tolerances {', '.join(f'{t:.0e}' for t in cert.tolerances)})")
-        print(f"  min slope: {cert.min_slope:.6f}")
+        _print_cert(result.cert, "  ")
     return EXIT_OK if result.passed else EXIT_NEGATIVE
 
 
@@ -297,10 +289,7 @@ def _cmd_verify(args) -> int:
     if args.json:
         _print_json(cert.to_json())
     else:
-        print(f"C^{cert.order} certificate: {'passed' if cert.passed else 'FAILED'}")
-        print(f"  residuals: {', '.join(f'{r:.3e}' for r in cert.residuals)}"
-              f"  (tolerances {', '.join(f'{t:.0e}' for t in cert.tolerances)})")
-        print(f"  min slope: {cert.min_slope:.6f}")
+        _print_cert(cert, "")
     return EXIT_OK if cert.passed else EXIT_NEGATIVE
 
 

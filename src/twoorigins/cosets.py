@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .realnum import to_real
+from .realnum import real_json, to_real
 
 #: Associativity is checked on all n^3 triples; keep inputs desk-scale. The
 #: cap also keeps every table entry below 256, which that check relies on.
@@ -438,7 +438,7 @@ class PairClassification:
         return any(self.nonempty.values())
 
     def to_json(self) -> dict:
-        return {"a": float(self.a), "b": float(self.b), "k": self.k,
+        return {"a": real_json(self.a), "b": real_json(self.b), "k": self.k,
                 "cells": {c: self.nonempty[c] for c in CELLS},
                 "witness_kind": {c: self.witness_kind[c]
                                  for c in CELLS if self.nonempty[c]}}

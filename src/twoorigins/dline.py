@@ -398,16 +398,15 @@ def diffeo_classes(a, b, k: int = 1):
     return cls_, _wa_witnesses(cls_, k)
 
 
-def classification_to_json(cls_, witnesses: dict[str, DiffeoL], real=float) -> dict:
-    """The cells and the witnesses' restrictions; real writes each
-    coefficient and exponent (see germ_to_json)."""
+def classification_to_json(cls_, witnesses: dict[str, DiffeoL]) -> dict:
+    """The cells and the witnesses' restrictions (see germ_to_json)."""
     wit = []
     for cell in CELLS:
         if cell in witnesses:
             d = witnesses[cell]
             wit.append({
                 "cell": cell,
-                "restriction": germ_to_json(d.restriction, real),
+                "restriction": germ_to_json(d.restriction),
                 "origin_action": d.origin_action,
             })
     return {"cells": {c: cls_.nonempty[c] for c in CELLS}, "witnesses": wit}

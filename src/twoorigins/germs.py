@@ -33,7 +33,7 @@ from typing import Callable, Union
 
 from . import _numerics
 from .errors import DomainError
-from .realnum import REAL_TOL, Real, is_integral, real_eq, real_pow, to_real
+from .realnum import Real, is_integral, real_eq, real_json, real_pow, to_real
 
 #: Hard cap on jet orders; "infinite" smoothness requests are evaluated here
 #: and the report carries capped=True.
@@ -372,8 +372,11 @@ def evaluate(h: GermLike, x):
 def _float_fn(h: GermLike) -> Callable[[float], float]:
     if isinstance(h, NumericGerm):
         return h.fn
-    neg = [(float(t.coeff), float(t.exponent)) for t in h.neg.terms]
-    pos = [(float(t.coeff), float(t.exponent)) for t in h.pos.terms]
+    try:
+        neg = [(float(t.coeff), float(t.exponent)) for t in h.neg.terms]
+        pos = [(float(t.coeff), float(t.exponent)) for t in h.pos.terms]
+    except OverflowError as exc:
+        raise DomainError(f"{exc}; a value is out of float range") from exc
     def fn(x: float) -> float:
         if x == 0.0:
             return 0.0
@@ -809,7 +812,7 @@ def fixed_near_zero(h: GermLike, radius) -> bool:
 # ---------------------------------------------------------------------------
 # structural comparison and serialization
 
-def germ_equal(g: Germ, h: Germ, tol: float = REAL_TOL) -> bool:
+def germ_equal(g: Germ, h: Germ) -> bool:
     """Term-list equality of exact germs; absent terms count as coefficient 0."""
     if g.orientation != h.orientation:
         return False
@@ -817,7 +820,7 @@ def germ_equal(g: Germ, h: Germ, tol: float = REAL_TOL) -> bool:
         gmap = {t.exponent: t.coeff for t in gs.terms}
         hmap = {t.exponent: t.coeff for t in hs.terms}
         for e in set(gmap) | set(hmap):
-            if not real_eq(gmap.get(e, Fraction(0)), hmap.get(e, Fraction(0)), tol):
+            if not real_eq(gmap.get(e, Fraction(0)), hmap.get(e, Fraction(0))):
                 return False
     return True
 
@@ -844,14 +847,14 @@ def germ_match(g: GermLike, h: GermLike) -> Tri:
     return Tri.INDETERMINATE
 
 
-def germ_to_json(g: Germ, real=float) -> dict:
+def germ_to_json(g: Germ) -> dict:
     """JSON form: {"neg": [{"c": ..., "e": ...}], "pos": [...], "orientation": ...},
-    with each coefficient and exponent written by real (a float by default;
-    germ_from_json also reads exact rational strings)."""
+    with each coefficient and exponent written by realnum.real_json, which
+    germ_from_json reads back."""
     if not isinstance(g, Germ):
         raise DomainError("numeric germs are in-memory only and are not serialized")
     def side(s: SideExpansion):
-        return [{"c": real(t.coeff), "e": real(t.exponent)} for t in s.terms]
+        return [{"c": real_json(t.coeff), "e": real_json(t.exponent)} for t in s.terms]
     return {"neg": side(g.neg), "pos": side(g.pos), "orientation": g.orientation}
 
 

@@ -599,26 +599,16 @@ def glue_auto(g: NumericDiffeo, n: int = 4096, retries: int = 6) -> NumericDiffe
 
 @dataclass(frozen=True)
 class IntervalChart:
-    """A chart with an abstract domain and an open bounded image interval.
-
-    The optional map records a concrete coordinate rule when the abstract
-    domain is realized inside R ("identity", an AffineMap, or a
-    NumericDiffeo); transitions can be derived from concrete maps, but are
-    usually supplied explicitly.
-    """
+    """A chart with an abstract domain and an open bounded image interval."""
 
     label: str
     image: tuple
-    map: object = None
 
     def __post_init__(self):
         a, c = float(self.image[0]), float(self.image[1])
         if not (math.isfinite(a) and math.isfinite(c) and a < c):
             raise DomainError(f"image must be a bounded interval, got ({a}, {c})")
         object.__setattr__(self, "image", (a, c))
-        if self.map is not None and self.map != "identity" \
-                and not isinstance(self.map, (AffineMap, NumericDiffeo)):
-            raise DomainError("chart map must be 'identity', affine, or numeric")
 
 
 @dataclass(frozen=True)
@@ -959,17 +949,18 @@ def _map_from_json(spec):
     if spec is None or spec == "identity":
         return "identity" if spec == "identity" else None
     if isinstance(spec, dict) and "affine" in spec:
-        pq = spec["affine"]
-        return AffineMap(float(pq[0]), float(pq[1]))
+        try:
+            a, b = float(spec["affine"][0]), float(spec["affine"][1])
+        except (KeyError, TypeError, ValueError, IndexError) as exc:
+            raise DomainError(f"unrecognized map spec: {spec!r}") from exc
+        return AffineMap(a, b)
     if isinstance(spec, dict) and "samples" in spec:
         return NumericDiffeo.from_json(spec)
     raise DomainError(f"unrecognized map spec: {spec!r}")
 
 
-def _derive_transition(u_chart: IntervalChart, v_chart: IntervalChart,
-                       n: int = 128) -> NumericDiffeo:
-    overlap = (v_chart.image[0], u_chart.image[1])
-    u, v = u_chart.map, v_chart.map
+def _derive_transition(overlap: tuple, u, v) -> NumericDiffeo:
+    """The transition v o u^-1 on overlap, sampled from the charts' maps."""
     if u is None or v is None:
         raise DomainError(
             "cannot derive a transition without concrete chart maps; "
@@ -977,7 +968,7 @@ def _derive_transition(u_chart: IntervalChart, v_chart: IntervalChart,
         )
     u_inv = IdentityMap(overlap) if u == "identity" else u.inverse()
     fn = u_inv if v == "identity" else ComposedMap(v, u_inv)
-    return NumericDiffeo.from_function(fn, overlap, n=n)
+    return NumericDiffeo.from_function(fn, overlap, n=128)
 
 
 def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
@@ -992,14 +983,14 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
         chart_specs = d["charts"]
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed join spec: {exc}") from exc
-    charts = []
+    charts, maps = [], []
     for i, spec in enumerate(chart_specs):
         try:
             image = (float(spec["image"][0]), float(spec["image"][1]))
         except (KeyError, TypeError, ValueError, IndexError) as exc:
             raise DomainError(f"malformed chart {i}: {exc}") from exc
-        charts.append(IntervalChart(str(spec.get("label", f"chart{i}")), image,
-                                    _map_from_json(spec.get("map"))))
+        maps.append(_map_from_json(spec.get("map")))
+        charts.append(IntervalChart(str(spec.get("label", f"chart{i}")), image))
     given = {}
     for t in d.get("transitions", ()):
         try:
@@ -1014,7 +1005,8 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
         if i in given:
             transitions.append(given[i])
         else:
-            transitions.append(_derive_transition(charts[i], charts[i + 1]))
+            overlap = (charts[i + 1].image[0], charts[i].image[1])
+            transitions.append(_derive_transition(overlap, maps[i], maps[i + 1]))
     k = int(d.get("k", 2))
     tol = d.get("tol")
     if tol is not None:

@@ -14,6 +14,8 @@ import math
 from fractions import Fraction
 from typing import Union
 
+from .errors import DomainError
+
 Real = Union[Fraction, float]
 
 #: Absolute tolerance for real comparisons that cannot be settled exactly.
@@ -42,11 +44,26 @@ def to_real(x) -> Real:
     raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
 
 
-def real_eq(x: Real, y: Real, tol: float = REAL_TOL) -> bool:
-    """Equality with exact fast-path for Fraction pairs, tolerance otherwise."""
+def real_json(x: Real):
+    """x as a float when one holds it (no overflow, no nonzero x turned to
+    0), else as the exact rational string that to_real reads back."""
+    try:
+        f = float(x)
+        if f != 0.0 or x == 0:
+            return f
+    except OverflowError:
+        pass
+    try:
+        return str(x)
+    except ValueError as exc:  # past sys.get_int_max_str_digits()
+        raise DomainError("a value is out of float range and too long to write") from exc
+
+
+def real_eq(x: Real, y: Real) -> bool:
+    """Equality with exact fast-path for Fraction pairs, REAL_TOL otherwise."""
     if isinstance(x, Fraction) and isinstance(y, Fraction):
         return x == y
-    return abs(float(x) - float(y)) <= tol
+    return abs(float(x) - float(y)) <= REAL_TOL
 
 
 def is_integral(e: Real) -> bool:

@@ -5,13 +5,13 @@ Usage: python tests/structure_corpus.py OUT.json
 The corpus is the 600 ops of perfbench/gen.take("structure_queries", s, 200)
 for s = 1, 2, 3, run in process through perfbench/ops.run_structure (read
 only), and the first 100 ops of gen.stream("cli_oneshot", s) for s = 20-25,
-run through twoorigins.cli.run. Each structure result is written as a
-stable repr: dataclasses field by field, floats by repr, and a NumericGerm,
-whose callable has no stable repr, as its orientation and provenance plus
-its values at 16 fixed dyadic points. Each CLI run is written as its exit
-code, stdout and stderr, with the input files' directory shown as <dir>.
-Two trees that compute the same bits write the same bytes: run it on both
-and cmp.
+run through twoorigins.cli.run, and the fixed boundary PROBES below. Each
+structure result is written as a stable repr: dataclasses field by field,
+floats by repr, and a NumericGerm, whose callable has no stable repr, as its
+orientation and provenance plus its values at 16 fixed dyadic points. Each
+CLI run is written as its exit code, stdout and stderr, with the input
+files' directory shown as <dir>, or as the exception it raised. Two trees
+that compute the same bits write the same bytes: run it on both and cmp.
 """
 
 import contextlib
@@ -65,6 +65,17 @@ def structure_cases() -> list:
     return cases
 
 
+def run_cli(argv: list, workdir: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.run(argv)
+    except Exception as exc:  # a traceback is a result too
+        return {"raised": f"{type(exc).__name__}: {exc}".replace(str(workdir), "<dir>")}
+    return {"exit": code, "stdout": out.getvalue().replace(str(workdir), "<dir>"),
+            "stderr": err.getvalue().replace(str(workdir), "<dir>")}
+
+
 def cli_cases(workdir: Path) -> list:
     cases = []
     for seed in range(20, 26):
@@ -72,18 +83,71 @@ def cli_cases(workdir: Path) -> list:
         for _ in range(100):
             op = next(it)
             argv = oneshot.prepare(op, workdir)
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.run(argv)
-            cases.append({"cli": [seed, op["id"], op["kind"]], "exit": code,
-                          "stdout": out.getvalue().replace(str(workdir), "<dir>"),
-                          "stderr": err.getvalue().replace(str(workdir), "<dir>")})
+            cases.append({"cli": [seed, op["id"], op["kind"]], **run_cli(argv, workdir)})
+    return cases
+
+
+def _germ(neg: list, pos: list) -> bytes:
+    return json.dumps({"neg": [{"c": c, "e": e} for c, e in neg],
+                       "pos": [{"c": c, "e": e} for c, e in pos],
+                       "orientation": "preserving"}).encode()
+
+
+def _wa(a) -> bytes:
+    return _germ([(-1, 1)], [(a, 1)])
+
+
+def _join(chart_map) -> bytes:
+    return json.dumps({"charts": [{"image": [0, 2], "map": chart_map},
+                                  {"image": [1, 3], "map": "identity"}]}).encode()
+
+
+#: CLI runs at the float range and Python's digit limit: name -> (argv with
+#: {name} placeholders, the input files' bytes). Exact strings such as
+#: "1e400" are germ coefficients that no float holds.
+PROBES = {
+    "psi_1e400": (["psi", "--a", "1e400"], {}),
+    "psi_1e400_json": (["psi", "--a", "1e400", "--selfcheck", "--json"], {}),
+    "psi_2e400": (["psi", "--a", "2e400", "--json"], {}),
+    "psi_1e4400": (["psi", "--a", "1e4400"], {}),
+    "psi_1e4400_json": (["psi", "--a", "1e4400", "--json"], {}),
+    "classify_1e4400": (["classify", "--a", "1e4400", "--b", "2"], {}),
+    "classify_1e4400_json": (["classify", "--a", "1e4400", "--b", "2", "--json"], {}),
+    "invert_1e400_json": (["germ", "invert", "--h", "{h}", "--json"], {"h": _wa("1e400")}),
+    "invert_1e-400": (["germ", "invert", "--h", "{h}"], {"h": _wa("1e-400")}),
+    "jet_1e400_json": (["germ", "jet", "--h", "{h}", "--order", "1", "--json"],
+                       {"h": _wa("1e400")}),
+    "compose_1e400_w2": (["germ", "compose", "--g", "{g}", "--h", "{h}"],
+                         {"g": _wa("1e400"), "h": _wa(2)}),
+    "same_w2_w1e400_json": (["structure", "same", "--h", "{h}", "--g", "{g}", "--json"],
+                            {"h": _wa(2), "g": _wa("1e400")}),
+    "same_w2_poly_json": (["structure", "same", "--k", "2", "--h", "{h}", "--g", "{g}", "--json"],
+                          {"h": _wa(2), "g": _germ([(-1, 1), ("1e400", 2)], [(1, 1), ("1e400", 2)])}),
+    "germ_5001_digits": (["germ", "invert", "--h", "{h}"],
+                         {"h": b'{"neg": [{"c": -1, "e": 1}], "pos": [{"c": ' + b"1" * 5001
+                               + b', "e": 1}], "orientation": "preserving"}'}),
+    "germ_bad_utf8": (["germ", "invert", "--h", "{h}"], {"h": b'{"neg": "\xff"}'}),
+    "join_affine_int": (["join", "{s}"], {"s": _join({"affine": 5})}),
+    "join_affine_str": (["join", "{s}"], {"s": _join({"affine": ["x", 1]})}),
+    "join_affine_short": (["join", "{s}"], {"s": _join({"affine": [1]})}),
+}
+
+
+def probe_cases(workdir: Path) -> list:
+    cases = []
+    for name, (argv, files) in PROBES.items():
+        paths = {}
+        for fname, data in files.items():
+            paths[fname] = workdir / f"probe_{name}_{fname}.json"
+            paths[fname].write_bytes(data)
+        argv = [a.format(**paths) if a.startswith("{") else a for a in argv]
+        cases.append({"probe": name, **run_cli(argv, workdir)})
     return cases
 
 
 def main(path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        cases = structure_cases() + cli_cases(Path(tmp))
+        cases = structure_cases() + cli_cases(Path(tmp)) + probe_cases(Path(tmp))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True, indent=0)
         fh.write("\n")

@@ -179,6 +179,25 @@ def test_classify_takes_numbers_past_float_range(capsys):
     assert germ_from_json(ex[0]["restriction"]).pos.terms[0].coeff == Fraction(10) ** 350
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("argv", [["classify", "--a", "1e4400", "--b", "2"],
+                                  ["psi", "--a", "1e4400"]], ids=["classify", "psi"])
+def test_number_past_the_digit_limit_is_input_error(argv, flags, capsys):
+    # Python prints no integer past sys.get_int_max_str_digits(), and every
+    # command echoes or writes its numbers
+    assert run(argv + flags) == EXIT_INPUT
+    assert "digits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", [b'{"c": ' + b"1" * 5001 + b"}", b'{"c": "\xff"}'],
+                         ids=["5001_digits", "bad_utf8"])
+def test_unreadable_json_is_input_error(tmp_path, text, capsys):
+    path = tmp_path / "h.json"
+    path.write_bytes(text)
+    assert run(["germ", "invert", "--h", str(path)]) == EXIT_INPUT
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 # -- germ algebra ---------------------------------------------------------------
 
 
@@ -219,6 +238,26 @@ def test_germ_compose_past_float_range_is_input_error(write, capsys):
     assert run(["germ", "compose", "--g", g, "--h", h]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "out of float range" in err
+
+
+def test_germs_past_float_range_are_written_exactly(write, capsys):
+    big, w2 = write("big.json", wa_json("1e400")), write("w2.json", wa_json(2))
+    assert run(["germ", "invert", "--h", big, "--json"]) == EXIT_OK
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["pos"] == [{"c": f"1/{10 ** 400}", "e": 1.0}]
+    assert germ_from_json(payload).pos.terms[0].coeff == Fraction(1, 10 ** 400)
+    assert run(["germ", "invert", "--h", write("tiny.json", wa_json("1e-400"))]) == EXIT_OK
+    assert f"pos: {10 ** 400}*x^1 " in capsys.readouterr().out
+    assert run(["germ", "jet", "--h", big, "--order", "1", "--json"]) == EXIT_OK
+    assert assert_canonical_json(capsys.readouterr().out)["pos"] == [str(10 ** 400)]
+    assert run(["germ", "compose", "--g", big, "--h", w2]) == EXIT_OK
+    assert f"pos: {2 * 10 ** 400}*x^1 " in capsys.readouterr().out
+    # q = w_(10^400) o w_2^-1 has the slopes 1 and 5 * 10^399 at 0
+    assert run(["structure", "same", "--h", w2, "--g", big, "--json"]) == EXIT_NEGATIVE
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["obstruction"] == {"order": 1, "neg": 1.0, "pos": str(5 * 10 ** 399)}
+    assert payload["inverse_obstruction"] == {"order": 1, "neg": 1.0,
+                                              "pos": f"1/{5 * 10 ** 399}"}
 
 
 def test_germ_jet(write, capsys):
@@ -310,6 +349,21 @@ def test_structure_same_with_a_steep_inverse_answers(write, capsys):
     assert payload["same"] == "false"
 
 
+def test_structure_same_decided_with_a_coefficient_no_float_holds(write, capsys):
+    # FALSE at order 1; the optional inverse report of q = g o w_2^-1 is
+    # numeric, and q has a coefficient no float holds, so it is left out
+    g = write("g.json", {
+        "neg": [{"c": -1, "e": 1}, {"c": "1e400", "e": 2}],
+        "pos": [{"c": 1, "e": 1}, {"c": "1e400", "e": 2}],
+        "orientation": "preserving",
+    })
+    h = write("w2.json", wa_json(2))
+    assert run(["structure", "same", "--k", "2", "--h", h, "--g", g, "--json"]) == EXIT_NEGATIVE
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "false" and payload["max_order"] == 0
+    assert payload["inverse_obstruction"] is None
+
+
 def test_structure_same_human_readout(write, capsys):
     g2 = write("w2.json", wa_json(2))
     gid = write("id.json", wa_json(1))
@@ -335,12 +389,20 @@ def test_psi_rejects_nonpositive(capsys):
     assert run(["psi", "--a", "0"]) == EXIT_INPUT
 
 
-@pytest.mark.parametrize("a", ["2e400", "1e400"])
-def test_psi_past_float_range_is_input_error(a, capsys):
-    # 1e400 has an exact square root, but the payload holds float(a)
-    assert run(["psi", "--a", a]) == EXIT_INPUT
-    err = capsys.readouterr().err
-    assert err.startswith("input error:") and "out of float range" in err
+@pytest.mark.parametrize("a, code", [("2e400", EXIT_INPUT), ("1e400", EXIT_OK)],
+                         ids=["2e400", "1e400"])
+def test_psi_past_float_range_is_input_error(a, code, capsys):
+    # only for 2e400, whose square root is computed in floats: 1e400 has an
+    # exact square root, and the payload writes a exactly
+    for flags in ([], ["--json"]):
+        assert run(["psi", "--a", a, *flags]) == code
+    out, err = capsys.readouterr()
+    if code == EXIT_INPUT:
+        assert err.startswith("input error:") and "out of float range" in err
+    else:
+        payload = assert_canonical_json(out.splitlines()[-1])
+        assert payload["a"] == str(10 ** 400)
+        assert payload["restriction"]["pos"] == [{"c": -1e200, "e": 1.0}]
 
 
 # -- join and verify -----------------------------------------------------------------
@@ -409,6 +471,15 @@ def test_join_rejects_malformed_file(tmp_path, capsys):
     missing = tmp_path / "absent.json"
     assert run(["join", str(missing)]) == EXIT_INPUT
     assert "cannot read" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("chart_map", [{"affine": 5}, {"affine": ["x", 1]}, {"affine": [1]}],
+                         ids=["number", "string", "short"])
+def test_join_malformed_chart_map_is_input_error(write, chart_map, capsys):
+    spec = {"charts": [{"image": [0.0, 2.0], "map": chart_map},
+                       {"image": [1.0, 3.0], "map": "identity"}]}
+    assert run(["join", write("spec.json", spec)]) == EXIT_INPUT
+    assert "unrecognized map spec" in capsys.readouterr().err
 
 
 def test_join_disjoint_charts_not_joinable(write, capsys):

@@ -39,7 +39,7 @@ from twoorigins.germs import (
     sandwich_smoothness,
     smoothness_at_zero,
 )
-from twoorigins.realnum import real_eq, real_pow, real_sqrt, to_real
+from twoorigins.realnum import real_eq, real_json, real_pow, real_sqrt, to_real
 
 # Dyadic rationals survive the float round trip in JSON exactly.
 dyadics = st.integers(-64, 64).flatmap(
@@ -750,6 +750,25 @@ def test_germ_json_roundtrip(g):
     back = germ_from_json(germ_to_json(g))
     assert back.orientation == g.orientation
     assert germ_equal(back, g)
+
+
+@given(st.integers(1, 10**6), st.sampled_from([1, 2, 1024, 3, 7, 10]),
+       st.integers(-400, 400), st.booleans())
+def test_real_json_is_the_float_when_one_holds_the_value_else_exact(n, d, k, negative):
+    # c = n/d is dyadic for d = 1, 2, 1024 and not for 3, 7, 10
+    x = (-1 if negative else 1) * F(n, d) * F(10) ** k
+    try:
+        holds = float(x) != 0.0
+    except OverflowError:
+        holds = False
+    written = real_json(x)
+    g = germ_from_json(germ_to_json(Germ.from_sides([(-abs(x), 1)], [(abs(x), 1), (x, 2)])))
+    if holds:
+        assert isinstance(written, float) and written == float(x)
+        assert g.pos.terms[1].coeff == F(float(x))
+    else:
+        assert isinstance(written, str) and to_real(written) == x
+        assert [t.coeff for t in g.neg.terms + g.pos.terms] == [-abs(x), abs(x), x]
 
 
 def test_germ_json_rejects_numeric_and_malformed():
