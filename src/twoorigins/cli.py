@@ -33,7 +33,7 @@ from .germs import (NONEXISTENT, Germ, NumericGerm, Tri, compose, germ_from_json
                     germ_match, germ_to_json, invert, jet_of, smoothness_at_zero)
 from .join import (NumericDiffeo, chain_from_json, collapse_chain,
                    collapse_to_json, verify_ck_numeric)
-from .realnum import real_json, real_sqrt
+from .realnum import parse_fraction, real_json, real_sqrt
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -49,7 +49,7 @@ def _rational(text: str) -> Fraction:
     """Exact parse of CLI numbers: '2', '0.5' and '1/3' all stay rational.
     The commands echo the number, so Python must be able to print it."""
     try:
-        x = Fraction(text)
+        x = parse_fraction(text)
         str(x)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number, or too many digits: {text!r}") from exc

@@ -949,11 +949,12 @@ def _map_from_json(spec):
     if spec is None or spec == "identity":
         return "identity" if spec == "identity" else None
     if isinstance(spec, dict) and "affine" in spec:
-        try:
-            a, b = float(spec["affine"][0]), float(spec["affine"][1])
-        except (KeyError, TypeError, ValueError, IndexError) as exc:
-            raise DomainError(f"unrecognized map spec: {spec!r}") from exc
-        return AffineMap(a, b)
+        ab = spec["affine"]  # [a, b]: exactly two finite numbers
+        if not (isinstance(ab, list) and len(ab) == 2 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+                for v in ab)):
+            raise DomainError(f"unrecognized map spec: {spec!r}")
+        return AffineMap(ab[0], ab[1])
     if isinstance(spec, dict) and "samples" in spec:
         return NumericDiffeo.from_json(spec)
     raise DomainError(f"unrecognized map spec: {spec!r}")

@@ -11,6 +11,8 @@ package-wide policy for decimal CLI input.
 from __future__ import annotations
 
 import math
+import re
+import sys
 from fractions import Fraction
 from typing import Union
 
@@ -20,6 +22,29 @@ Real = Union[Fraction, float]
 
 #: Absolute tolerance for real comparisons that cannot be settled exactly.
 REAL_TOL = 1e-9
+
+#: A decimal string's exponent, in Fraction's grammar, and what precedes it.
+_EXPONENT = re.compile(r"(?P<mantissa>.*)[eE](?P<exp>[-+]?\d+(?:_\d+)*)\s*\Z", re.DOTALL)
+
+
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), refusing at once an exponent too large for the value
+    to print within sys.get_int_max_str_digits().
+
+    Fraction multiplies out 10**exp before any size check can run, which
+    takes seconds for an exponent of ten million. With n mantissa digits a
+    nonzero value needs more than |exp| - n digits, so |exp| past the limit
+    plus n is refused unparsed; a zero mantissa is 0 at any exponent.
+    """
+    m = _EXPONENT.match(text)
+    limit = sys.get_int_max_str_digits()
+    if m and limit and abs(int(m["exp"])) > limit + sum(c.isdigit() for c in m["mantissa"]):
+        mantissa = Fraction(m["mantissa"] + "e0")  # the same grammar as text
+        if mantissa != 0:
+            raise ValueError(f"exponent of {text[:40]!r} too large: the value has more "
+                             f"than {limit} digits")
+        return mantissa
+    return Fraction(text)
 
 
 def to_real(x) -> Real:
@@ -40,7 +65,7 @@ def to_real(x) -> Real:
             raise ValueError(f"non-finite real: {x!r}")
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        return parse_fraction(x)
     raise TypeError(f"cannot interpret {type(x).__name__} as a real number")
 
 

@@ -10,8 +10,12 @@ structure result is written as a stable repr: dataclasses field by field,
 floats by repr, and a NumericGerm, whose callable has no stable repr, as its
 orientation and provenance plus its values at 16 fixed dyadic points. Each
 CLI run is written as its exit code, stdout and stderr, with the input
-files' directory shown as <dir>, or as the exception it raised. Two trees
-that compute the same bits write the same bytes: run it on both and cmp.
+files' directory shown as <dir>, or as the exception it raised. The
+numeric-inverse block inverts the six pool cubics of each of those seeds
+and 20 fixed s (x + c sin x) callables, and reads each inverse at
+INVERSE_POINTS in order and then reversed, and a fresh one reversed; it
+ends with the error text of a germ that folds. Two trees that compute the
+same bits write the same bytes: run it on both and cmp.
 """
 
 import contextlib
@@ -19,6 +23,7 @@ import dataclasses
 import enum
 import io
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -30,11 +35,19 @@ import gen  # noqa: E402
 import oneshot  # noqa: E402
 import ops  # noqa: E402
 import spans  # noqa: E402
-from twoorigins import cli  # noqa: E402
+from twoorigins import cli, dline, germs  # noqa: E402
 from twoorigins.germs import NumericGerm  # noqa: E402
 
 #: Where numeric germs are read: +-2^-4, 2^-8, ..., 2^-32.
 POINTS = tuple(s * 2.0 ** -k for k in range(4, 36, 4) for s in (-1.0, 1.0))
+
+
+#: Where numeric inverses are read: NumericGerm's validation samples
+#: +-2^-2 .. +-2^-15, +-2^-40, +-2^-65, then the Richardson stencil nodes
+#: +-i*h, i = 1..4, h in germs._RICH_STEPS, each point once.
+INVERSE_POINTS = tuple(dict.fromkeys(
+    [s * 2.0 ** -j for s in (-1.0, 1.0) for j in (*range(2, 16), 40, 65)]
+    + [s * i * h for s in (-1.0, 1.0) for h in germs._RICH_STEPS for i in range(1, 5)]))
 
 
 def stable(obj):
@@ -62,6 +75,44 @@ def structure_cases() -> list:
             except Exception as exc:  # a raise is a result too
                 out = {"raised": f"{type(exc).__name__}: {exc}"}
             cases.append({"structure": [seed, op["id"], op["kind"]], "result": out})
+    return cases
+
+
+def _sine(s: float, c: float):
+    return NumericGerm(lambda x: s * (x + c * math.sin(x)),
+                       germs.PRESERVING if s > 0 else germs.REVERSING, "corpus callable")
+
+
+def _raised(fn, *args) -> str:
+    try:
+        fn(*args)
+    except Exception as exc:  # the error text is the result
+        return f"{type(exc).__name__}: {exc}"
+    return "returned"
+
+
+def _pool(seed: int) -> list:
+    """The six cubics gen.stream("structure_queries", seed) draws first."""
+    r = gen._rng("structure_queries", seed)
+    return [gen.monotone_cubic(r) for _ in range(gen.H_POOL)]
+
+
+def inverse_cases() -> list:
+    germs_ = [(f"cubic {seed}.{i}", germs.poly_germ(p))
+              for seed in (1, 2, 3) for i, p in enumerate(_pool(seed))]
+    germs_ += [(f"sine {(-1) ** i} {i}/11-0.9", _sine((-1.0) ** i, i / 11 - 0.9))
+               for i in range(20)]
+    cases = []
+    for name, h in germs_:
+        inverse = germs.invert(h)
+        reads = [inverse.fn(y) for y in INVERSE_POINTS + INVERSE_POINTS[::-1]]
+        fresh = germs.invert(h)
+        reads += [fresh.fn(y) for y in INVERSE_POINTS[::-1]]
+        cases.append({"inverse": name, "orientation": inverse.orientation,
+                      "values": [repr(v) for v in reads]})
+    fold = germs.poly_germ({1: 1, 2: 10})
+    cases.append({"inverse": "fold", "raised": [_raised(germs.invert, fold)] + [
+        _raised(dline.same_structure, fold, fold, k) for k in (1, 2, 3)]})
     return cases
 
 
@@ -147,7 +198,8 @@ def probe_cases(workdir: Path) -> list:
 
 def main(path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        cases = structure_cases() + cli_cases(Path(tmp)) + probe_cases(Path(tmp))
+        cases = (structure_cases() + inverse_cases() + cli_cases(Path(tmp))
+                 + probe_cases(Path(tmp)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True, indent=0)
         fh.write("\n")

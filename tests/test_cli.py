@@ -2,6 +2,7 @@
 
 import ast
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,6 +14,7 @@ from twoorigins.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, run
 from twoorigins.cosets import FiniteGroup
 from twoorigins.germs import compose, germ_from_json, germ_to_json, poly_germ
 from twoorigins.join import NumericDiffeo
+from twoorigins.realnum import to_real
 
 
 def wa_json(a):
@@ -187,6 +189,27 @@ def test_number_past_the_digit_limit_is_input_error(argv, flags, capsys):
     # command echoes or writes its numbers
     assert run(argv + flags) == EXIT_INPUT
     assert "digits" in capsys.readouterr().err
+
+
+def test_huge_exponent_is_refused_at_once(write, capsys):
+    # Fraction alone would spend seconds multiplying out 10**10000000
+    start = time.perf_counter()
+    assert run(["psi", "--a", "1e10000000"]) == EXIT_INPUT
+    assert "digits" in capsys.readouterr().err
+    assert run(["germ", "invert", "--h", write("h.json", wa_json("1e-10000000"))]) == EXIT_INPUT
+    assert "digits" in capsys.readouterr().err
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("text", ["2", "0.5", "1/3", "1e3", " -1_0.5E+1_0 ", "1e4299"])
+def test_numbers_parse_as_fraction_reads_them(text):
+    assert cli._rational(text) == Fraction(text)
+    assert to_real(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["0e10000000", "-0.000E-10000000"])
+def test_zero_mantissa_parses_at_any_exponent(text):
+    assert cli._rational(text) == to_real(text) == 0
 
 
 @pytest.mark.parametrize("text", [b'{"c": ' + b"1" * 5001 + b"}", b'{"c": "\xff"}'],
@@ -473,13 +496,17 @@ def test_join_rejects_malformed_file(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("chart_map", [{"affine": 5}, {"affine": ["x", 1]}, {"affine": [1]}],
-                         ids=["number", "string", "short"])
+@pytest.mark.parametrize("chart_map", [
+    {"affine": 5}, {"affine": ["x", 1]}, {"affine": [1]}, {"affine": "12"},
+    {"affine": [1, 2, 3]}, {"affine": ["1", 2]}, {"affine": [True, 0]},
+    {"affine": [float("inf"), 0]}],
+    ids=["number", "string", "short", "text", "three", "quoted", "bool", "infinite"])
 def test_join_malformed_chart_map_is_input_error(write, chart_map, capsys):
     spec = {"charts": [{"image": [0.0, 2.0], "map": chart_map},
                        {"image": [1.0, 3.0], "map": "identity"}]}
     assert run(["join", write("spec.json", spec)]) == EXIT_INPUT
-    assert "unrecognized map spec" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "unrecognized map spec" in err
 
 
 def test_join_disjoint_charts_not_joinable(write, capsys):
