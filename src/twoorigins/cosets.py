@@ -12,9 +12,7 @@ closed-form classification of the piecewise-linear one-parameter family w_a.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .errors import DomainError
 from .realnum import real_json, to_real
 
@@ -23,8 +21,7 @@ from .realnum import real_json, to_real
 MAX_GROUP_ORDER = 64
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Record):
     """A group given by element names and a Cayley table of indices.
 
     table[i][j] is the index of elements[i] * elements[j]. Construction
@@ -81,8 +78,8 @@ class FiniteGroup:
         inv = tuple(row.find(e) for row in rows)
         if -1 in inv:
             raise DomainError(f"{self.elements[inv.index(-1)]} has no inverse")
-        object.__setattr__(self, "_identity", e)
-        object.__setattr__(self, "_inv", inv)
+        setfield(self, "_identity", e)
+        setfield(self, "_inv", inv)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -102,104 +99,6 @@ class FiniteGroup:
             return self.elements.index(name)
         except ValueError:
             raise DomainError(f"no element named {name!r}") from None
-
-    # -- constructors ------------------------------------------------------
-
-    @classmethod
-    def from_table(cls, elements, table, name="group") -> "FiniteGroup":
-        return cls(tuple(elements), tuple(tuple(row) for row in table), name)
-
-    @classmethod
-    def cyclic(cls, n: int) -> "FiniteGroup":
-        names = tuple(str(i) for i in range(n))
-        table = tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        return cls(names, table, f"Z{n}")
-
-    @classmethod
-    def dihedral(cls, n: int) -> "FiniteGroup":
-        """Symmetries of the regular n-gon, elements s^j r^i.
-
-        Convention: r*s = s*r^(n-1), so (j,i)*(l,m) = (j+l, m + (-1)^l i).
-        Names: e, r, r2, ... and s, sr, sr2, ...
-        """
-        if n < 1:
-            raise DomainError("dihedral needs n >= 1")
-        def nm(j, i):
-            if j == 0:
-                return "e" if i == 0 else ("r" if i == 1 else f"r{i}")
-            return "s" if i == 0 else ("sr" if i == 1 else f"sr{i}")
-        elems = [(j, i) for j in (0, 1) for i in range(n)]
-        names = tuple(nm(j, i) for j, i in elems)
-        idx = {v: k for k, v in enumerate(elems)}
-        table = tuple(
-            tuple(idx[((j + l) % 2, (m + (-1) ** l * i) % n)] for (l, m) in elems)
-            for (j, i) in elems
-        )
-        return cls(names, table, f"D{n}")
-
-    @classmethod
-    def quaternion8(cls) -> "FiniteGroup":
-        names = ("1", "-1", "i", "-i", "j", "-j", "k", "-k")
-        # encode q = (sign, axis) with axis in {1,i,j,k}
-        def mul(a, b):
-            sa, xa = a; sb, xb = b
-            rules = {
-                ("1", "1"): (1, "1"), ("1", "i"): (1, "i"), ("1", "j"): (1, "j"), ("1", "k"): (1, "k"),
-                ("i", "1"): (1, "i"), ("j", "1"): (1, "j"), ("k", "1"): (1, "k"),
-                ("i", "i"): (-1, "1"), ("j", "j"): (-1, "1"), ("k", "k"): (-1, "1"),
-                ("i", "j"): (1, "k"), ("j", "k"): (1, "i"), ("k", "i"): (1, "j"),
-                ("j", "i"): (-1, "k"), ("k", "j"): (-1, "i"), ("i", "k"): (-1, "j"),
-            }
-            s, x = rules[(xa, xb)]
-            return (sa * sb * s, x)
-        def decode(name):
-            return (-1 if name.startswith("-") else 1, name.lstrip("-"))
-        def encode(q):
-            s, x = q
-            return x if s == 1 else f"-{x}"
-        table = tuple(
-            tuple(names.index(encode(mul(decode(a), decode(b)))) for b in names)
-            for a in names
-        )
-        return cls(names, table, "Q8")
-
-    @classmethod
-    def alternating4(cls) -> "FiniteGroup":
-        perms = [p for p in itertools.permutations(range(4)) if _parity(p) == 0]
-        names = tuple("".join(str(v) for v in p) for p in perms)
-        idx = {p: k for k, p in enumerate(perms)}
-        table = tuple(
-            tuple(idx[tuple(p[q[t]] for t in range(4))] for q in perms)
-            for p in perms
-        )
-        return cls(names, table, "A4")
-
-    @classmethod
-    def dicyclic3(cls) -> "FiniteGroup":
-        """Order-12 dicyclic group: a^6 = 1, b^2 = a^3, b a b^-1 = a^-1."""
-        elems = [(i, j) for j in (0, 1) for i in range(6)]
-        def nm(i, j):
-            base = "e" if i == 0 else ("a" if i == 1 else f"a{i}")
-            return base if j == 0 else ("b" if i == 0 else f"{base}b")
-        names = tuple(nm(i, j) for i, j in elems)
-        idx = {v: k for k, v in enumerate(elems)}
-        table = tuple(
-            tuple(idx[(((i + (-1) ** j * i2 + 3 * (j & j2)) % 6), (j + j2) % 2)]
-                  for (i2, j2) in elems)
-            for (i, j) in elems
-        )
-        return cls(names, table, "Dic3")
-
-    @classmethod
-    def direct_product(cls, g: "FiniteGroup", h: "FiniteGroup") -> "FiniteGroup":
-        pairs = [(i, j) for i in range(len(g)) for j in range(len(h))]
-        names = tuple(f"({g.elements[i]},{h.elements[j]})" for i, j in pairs)
-        idx = {p: k for k, p in enumerate(pairs)}
-        table = tuple(
-            tuple(idx[(g.mul(i1, i2), h.mul(j1, j2))] for (i2, j2) in pairs)
-            for (i1, j1) in pairs
-        )
-        return cls(names, table, f"{g.name}x{h.name}")
 
     @classmethod
     def from_json(cls, d: dict) -> tuple["FiniteGroup", dict[str, "Subgroup"]]:
@@ -240,13 +139,7 @@ class FiniteGroup:
         return group, subs
 
 
-def _parity(p) -> int:
-    inv = sum(1 for a, b in itertools.combinations(range(len(p)), 2) if p[a] > p[b])
-    return inv % 2
-
-
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A sorted, non-empty index set, verified closed under product.
 
     In a finite group that is enough: the identity and every inverse are
@@ -256,23 +149,23 @@ class Subgroup:
     group: FiniteGroup
     members: tuple[int, ...]
 
-    def __post_init__(self):
-        mem = tuple(sorted(set(self.members)))
-        object.__setattr__(self, "members", mem)
-        g = self.group
+    def __init__(self, group: FiniteGroup, members):
+        mem = tuple(sorted(set(members)))
         if not mem:
             raise DomainError("empty subgroup")
-        if any(not (0 <= i < len(g)) for i in mem):
+        if any(not (0 <= i < len(group)) for i in mem):
             raise DomainError("subgroup member out of range")
         ms = set(mem)
         for i in mem:
-            row = g.table[i]
+            row = group.table[i]
             for j in mem:
                 if row[j] not in ms:
                     raise DomainError(
                         f"subgroup not closed under product at "
-                        f"({g.elements[i]}, {g.elements[j]})"
+                        f"({group.elements[i]}, {group.elements[j]})"
                     )
+        setfield(self, "group", group)
+        setfield(self, "members", mem)
 
     @classmethod
     def from_names(cls, group: FiniteGroup, names) -> "Subgroup":
@@ -301,23 +194,24 @@ class Subgroup:
                    for a in range(len(g)) for m in self.members)
 
 
-@dataclass(frozen=True)
-class CosetPartition:
+class CosetPartition(Record):
     """Disjoint blocks of element indices covering the whole group."""
 
     group: FiniteGroup
     blocks: tuple[tuple[int, ...], ...]
     kind: str  # "double" | "pm_double"
 
-    def __post_init__(self):
-        if self.kind not in ("double", "pm_double"):
-            raise DomainError(f"unknown partition kind {self.kind!r}")
-        blocks = tuple(tuple(sorted(set(b))) for b in self.blocks)
+    def __init__(self, group: FiniteGroup, blocks, kind: str):
+        if kind not in ("double", "pm_double"):
+            raise DomainError(f"unknown partition kind {kind!r}")
+        blocks = tuple(tuple(sorted(set(b))) for b in blocks)
         blocks = tuple(sorted(blocks, key=lambda b: b[0]))
-        object.__setattr__(self, "blocks", blocks)
         flat = [i for b in blocks for i in b]
-        if sorted(flat) != list(range(len(self.group))) or len(flat) != len(set(flat)):
+        if sorted(flat) != list(range(len(group))) or len(flat) != len(set(flat)):
             raise DomainError("blocks do not partition the group")
+        setfield(self, "group", group)
+        setfield(self, "blocks", blocks)
+        setfield(self, "kind", kind)
 
     def block_of(self, i: int) -> tuple[int, ...]:
         for b in self.blocks:
@@ -332,8 +226,7 @@ class CosetPartition:
         return {"kind": self.kind, "blocks": self.named_blocks()}
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Record):
     """Element (a, b, delta) of the wreath square of a subgroup's table."""
 
     a: int
@@ -419,8 +312,7 @@ def coset_membership_equiv(H: FiniteGroup, C: Subgroup, D: Subgroup,
 CELLS = ("fix+", "fix-", "ex+", "ex-")
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(Record):
     """Emptiness pattern of the four symmetry cells between two structures.
 
     Cells are keyed fix+/fix-/ex+/ex- (origin action crossed with

@@ -10,8 +10,7 @@ both chart presentations certified smooth at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record, setfield
 from .cosets import CELLS, classify_wa_pair
 from .errors import DomainError, IncompatiblePresentations, InvalidAtlas
 from .germs import (
@@ -40,8 +39,7 @@ EXCHANGE = "exchange"
 # ---------------------------------------------------------------------------
 # points
 
-@dataclass(frozen=True)
-class PointL:
+class PointL(Record):
     """A point of the doubled line: a real number, or the second origin.
 
     tilde marks the added origin; it forces x = 0. Ordinary reals, including
@@ -51,10 +49,12 @@ class PointL:
     x: object
     tilde: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", to_real(self.x))
-        if self.tilde and self.x != 0:
+    def __init__(self, x, tilde=False):
+        x = to_real(x)
+        if tilde and x != 0:
             raise DomainError("only the origin is doubled")
+        setfield(self, "x", x)
+        setfield(self, "tilde", tilde)
 
     def is_origin(self) -> bool:
         return self.x == 0
@@ -83,8 +83,7 @@ def hausdorff_closure(p: PointL) -> frozenset:
 # ---------------------------------------------------------------------------
 # charts and atlases
 
-@dataclass(frozen=True)
-class ChartL:
+class ChartL(Record):
     """One chart of a minimal atlas.
 
     domain "U" covers the line through the first origin, "V" through the
@@ -96,21 +95,23 @@ class ChartL:
     map: GermLike
     orientation: str = ""
 
-    def __post_init__(self):
-        if self.domain not in ("U", "V"):
-            raise DomainError(f"chart domain must be U or V, got {self.domain!r}")
-        if not isinstance(self.map, (Germ, NumericGerm)):
+    def __init__(self, domain, map, orientation=""):
+        if domain not in ("U", "V"):
+            raise DomainError(f"chart domain must be U or V, got {domain!r}")
+        if not isinstance(map, (Germ, NumericGerm)):
             raise DomainError("chart map must be a germ")
-        if self.orientation == "":
-            object.__setattr__(self, "orientation", self.map.orientation)
-        elif self.orientation != self.map.orientation:
+        if orientation == "":
+            orientation = map.orientation
+        elif orientation != map.orientation:
             raise DomainError(
-                f"chart orientation flag {self.orientation!r} contradicts the map"
+                f"chart orientation flag {orientation!r} contradicts the map"
             )
+        setfield(self, "domain", domain)
+        setfield(self, "map", map)
+        setfield(self, "orientation", orientation)
 
 
-@dataclass(frozen=True)
-class MinimalAtlas:
+class MinimalAtlas(Record):
     """Two charts, one per origin; the structure they generate."""
 
     u_chart: ChartL
@@ -121,8 +122,7 @@ class MinimalAtlas:
             raise DomainError("atlas needs a U chart and a V chart, in that order")
 
 
-@dataclass(frozen=True)
-class SpecialMinimalAtlas:
+class SpecialMinimalAtlas(Record):
     """Minimal atlas whose U chart is the identity; h is the whole structure.
 
     Denotes the atlas {(U, id), (V, h)}, so the transition extension is h
@@ -197,8 +197,7 @@ def same_structure(h: GermLike, g: GermLike, k) -> Tri:
 # ---------------------------------------------------------------------------
 # diffeomorphisms of the doubled line
 
-@dataclass(frozen=True)
-class DiffeoL:
+class DiffeoL(Record):
     """A certified order-k diffeomorphism between doubled-line structures.
 
     The map is its restriction germ on the punctured line plus the origin

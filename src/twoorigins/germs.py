@@ -28,11 +28,11 @@ from __future__ import annotations
 import enum
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Union
 
 from . import _numerics
+from ._record import Record, setfield
 from .errors import DomainError
 from .realnum import Real, is_integral, real_eq, real_json, real_pow, to_real
 
@@ -91,8 +91,7 @@ PRESERVING = "preserving"
 REVERSING = "reversing"
 
 
-@dataclass(frozen=True)
-class PowerTerm:
+class PowerTerm(Record):
     """One term c * t**e of a one-sided expansion; c != 0, e > 0.
 
     A float coefficient stays a float (it marks a computed, inexact value
@@ -103,21 +102,18 @@ class PowerTerm:
     coeff: Real
     exponent: Fraction
 
-    def __post_init__(self):
-        c = self.coeff
-        if not isinstance(c, (float, Fraction)):
-            c = to_real(c)
-        e = to_real(self.exponent)
-        object.__setattr__(self, "coeff", c)
-        object.__setattr__(self, "exponent", e)
+    def __init__(self, coeff, exponent):
+        c = coeff if isinstance(coeff, (float, Fraction)) else to_real(coeff)
+        e = to_real(exponent)
         if c == 0:
             raise DomainError("power term with zero coefficient")
         if e <= 0:
             raise DomainError(f"power term exponent must be positive, got {e}")
+        setfield(self, "coeff", c)
+        setfield(self, "exponent", e)
 
 
-@dataclass(frozen=True)
-class SideExpansion:
+class SideExpansion(Record):
     """Finite power sum for one side, exponents strictly increasing.
 
     The evaluated side map is strictly monotone on a punctured one-sided
@@ -128,17 +124,17 @@ class SideExpansion:
 
     terms: tuple[PowerTerm, ...]
 
-    def __post_init__(self):
+    def __init__(self, terms):
         terms = tuple(
             t if isinstance(t, PowerTerm) else PowerTerm(t[0], t[1])
-            for t in self.terms
+            for t in terms
         )
-        object.__setattr__(self, "terms", terms)
         if not terms:
             raise DomainError("side expansion needs at least one term")
         exps = [t.exponent for t in terms]
         if any(e2 <= e1 for e1, e2 in zip(exps, exps[1:])):
             raise DomainError(f"exponents must strictly increase, got {exps}")
+        setfield(self, "terms", terms)
 
     @property
     def leading(self) -> PowerTerm:
@@ -152,8 +148,7 @@ class SideExpansion:
         return sum(term.coeff * real_pow(t, term.exponent) for term in self.terms)
 
 
-@dataclass(frozen=True)
-class Germ:
+class Germ(Record):
     """Exact germ: per-side power sums plus an orientation flag.
 
     neg is evaluated as x -> sum c*(-x)**e for x < 0, pos as
@@ -166,20 +161,24 @@ class Germ:
     pos: SideExpansion
     orientation: str
 
-    def __post_init__(self):
-        if self.orientation not in (PRESERVING, REVERSING):
-            raise DomainError(f"unknown orientation {self.orientation!r}")
-        ln = self.neg.leading.coeff
-        lp = self.pos.leading.coeff
-        if self.orientation == PRESERVING:
+    # every exact germ operation builds one: an own __init__ is the cheaper
+    def __init__(self, neg: SideExpansion, pos: SideExpansion, orientation: str):
+        if orientation not in (PRESERVING, REVERSING):
+            raise DomainError(f"unknown orientation {orientation!r}")
+        ln = neg.leading.coeff
+        lp = pos.leading.coeff
+        if orientation == PRESERVING:
             ok = ln < 0 and lp > 0
         else:
             ok = ln > 0 and lp < 0
         if not ok:
             raise DomainError(
                 f"leading coefficients ({ln}, {lp}) do not match orientation "
-                f"{self.orientation!r}; the assembled map would not be a bijection"
+                f"{orientation!r}; the assembled map would not be a bijection"
             )
+        setfield(self, "neg", neg)
+        setfield(self, "pos", pos)
+        setfield(self, "orientation", orientation)
 
     @classmethod
     def from_sides(cls, neg_terms, pos_terms) -> "Germ":
@@ -207,8 +206,7 @@ class Germ:
         )
 
 
-@dataclass(frozen=True)
-class NumericGerm:
+class NumericGerm(Record):
     """Fallback germ carrying the composed callable on R minus 0.
 
     Produced when exact composition or inversion is not closed under finite
@@ -262,8 +260,7 @@ class NumericGerm:
 GermLike = Union[Germ, NumericGerm]
 
 
-@dataclass(frozen=True)
-class Jet:
+class Jet(Record):
     """Two one-sided derivative tuples at 0, entries f^(j)(0-) / f^(j)(0+).
 
     Entry j-1 holds the j-th derivative (no 0th entry; germs fix 0). Once an
@@ -288,8 +285,7 @@ class Jet:
                     raise DomainError("an existing derivative follows a NONEXISTENT one")
 
 
-@dataclass(frozen=True)
-class Obstruction:
+class Obstruction(Record):
     """First failing order of a smoothness test with the mismatched pair."""
 
     order: int
@@ -297,8 +293,7 @@ class Obstruction:
     pos: JetEntry
 
 
-@dataclass(frozen=True)
-class SmoothnessReport:
+class SmoothnessReport(Record):
     max_order: int
     obstruction: Obstruction | None
     is_diffeo_ck: bool
@@ -306,6 +301,17 @@ class SmoothnessReport:
     capped: bool = False
     #: False when a numeric path could not certify the failing order either way.
     conclusive: bool = True
+
+    # every smoothness question builds one, by keyword: the generic
+    # Record __init__ binds keywords at about twice the cost
+    def __init__(self, max_order, obstruction, is_diffeo_ck, order_checked=0,
+                 capped=False, conclusive=True):
+        setfield(self, "max_order", max_order)
+        setfield(self, "obstruction", obstruction)
+        setfield(self, "is_diffeo_ck", is_diffeo_ck)
+        setfield(self, "order_checked", order_checked)
+        setfield(self, "capped", capped)
+        setfield(self, "conclusive", conclusive)
 
     @property
     def verdict(self) -> Tri:

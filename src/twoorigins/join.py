@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 from . import _numerics
+from ._record import Record, setfield
 from .errors import DomainError, GlueInfeasible, NotJoinable
 
 
@@ -219,8 +219,7 @@ def bump_plateau(l0, l1, r1, r0) -> _Plateau:
 # ---------------------------------------------------------------------------
 # map-like objects: callable on floats and 1-D arrays, .domain, .seams
 
-@dataclass(frozen=True)
-class IdentityMap:
+class IdentityMap(Record):
     """The identity on an open interval."""
 
     domain: tuple
@@ -234,19 +233,20 @@ class IdentityMap:
         return xs.copy()
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """x -> a*x + b with a != 0; exact up to float arithmetic."""
 
     a: float
     b: float
     domain: tuple = (-math.inf, math.inf)
 
-    def __post_init__(self):
-        if float(self.a) == 0.0:
+    def __init__(self, a, b, domain=(-math.inf, math.inf)):
+        a = float(a)
+        if a == 0.0:
             raise DomainError("affine map needs a nonzero slope")
-        object.__setattr__(self, "a", float(self.a))
-        object.__setattr__(self, "b", float(self.b))
+        setfield(self, "a", a)
+        setfield(self, "b", float(b))
+        setfield(self, "domain", domain)
 
     @property
     def seams(self) -> tuple:
@@ -263,8 +263,7 @@ class AffineMap:
         return AffineMap(1.0 / self.a, -self.b / self.a, tuple(img))
 
 
-@dataclass(frozen=True, eq=False)
-class ComposedMap:
+class ComposedMap(Record, eq=False):
     """outer after inner, with an explicit seam list on inner's domain."""
 
     outer: Callable
@@ -280,8 +279,7 @@ class ComposedMap:
         return self.outer(self.inner(xs))
 
 
-@dataclass(frozen=True, eq=False)
-class PiecewiseMonotone:
+class PiecewiseMonotone(Record, eq=False):
     """Strictly increasing map assembled from pieces on a breakpoint grid.
 
     pieces[i] covers [breakpoints[i], breakpoints[i+1]]. Construction calls
@@ -297,10 +295,9 @@ class PiecewiseMonotone:
     pieces: tuple
     extra_seams: tuple = ()
 
-    def __post_init__(self):
-        bps = tuple(float(b) for b in self.breakpoints)
-        object.__setattr__(self, "breakpoints", bps)
-        if len(bps) < 2 or len(self.pieces) != len(bps) - 1:
+    def __init__(self, breakpoints, pieces, extra_seams=()):
+        bps = tuple(float(b) for b in breakpoints)
+        if len(bps) < 2 or len(pieces) != len(bps) - 1:
             raise DomainError("need n+1 breakpoints for n pieces")
         if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
             raise DomainError("breakpoints must strictly increase")
@@ -308,7 +305,7 @@ class PiecewiseMonotone:
         # linspace returns both ends exactly, so the samples hold each
         # piece's values at its breakpoints
         samples = [piece(np.linspace(bps[i], bps[i + 1], 9)).tolist()
-                   for i, piece in enumerate(self.pieces)]
+                   for i, piece in enumerate(pieces)]
         for i in range(1, len(bps) - 1):
             left, right = samples[i - 1][-1], samples[i][0]
             if abs(left - right) > 1e-8 * scale:
@@ -321,6 +318,9 @@ class PiecewiseMonotone:
                 if prev is not None and val <= prev - 1e-12 * scale:
                     raise DomainError("assembled map is not increasing")
                 prev = max(val, prev) if prev is not None else val
+        setfield(self, "breakpoints", bps)
+        setfield(self, "pieces", pieces)
+        setfield(self, "extra_seams", extra_seams)
 
     @property
     def domain(self) -> tuple:
@@ -341,8 +341,7 @@ class PiecewiseMonotone:
 # ---------------------------------------------------------------------------
 # numeric diffeomorphisms
 
-@dataclass(frozen=True)
-class GlueReport:
+class GlueReport(Record):
     """Construction record of one glue: the fitted bump mass and residuals."""
 
     eps: float
@@ -353,8 +352,7 @@ class GlueReport:
     cells: int
 
 
-@dataclass(frozen=True, eq=False)
-class NumericDiffeo:
+class NumericDiffeo(Record, eq=False):
     """Monotone map on an open interval, carried by samples.
 
     When the exact rule behind the samples is known it rides along as
@@ -385,16 +383,16 @@ class NumericDiffeo:
         up = bool(ys[1] > ys[0])
         if np.any(np.diff(ys) <= 0.0 if up else np.diff(ys) >= 0.0):
             raise DomainError("y samples must be strictly monotone")
-        object.__setattr__(self, "xs", tuple(xs.tolist()))
-        object.__setattr__(self, "ys", tuple(ys.tolist()))
-        object.__setattr__(self, "_increasing", up)
+        setfield(self, "xs", tuple(xs.tolist()))
+        setfield(self, "ys", tuple(ys.tolist()))
+        setfield(self, "_increasing", up)
         if self.underlying is None:
             rule, slope = _monotone_cubic(xs, ys)
         else:
             rule = _array_rule(self.underlying, xs[:2])
             slope = functools.partial(_central_slope, rule, lo=self.xs[0], hi=self.xs[-1])
-        object.__setattr__(self, "_rule", rule)
-        object.__setattr__(self, "_slope", slope)
+        setfield(self, "_rule", rule)
+        setfield(self, "_slope", slope)
 
     @classmethod
     def from_function(cls, fn: Callable, domain, n: int = 256,
@@ -597,22 +595,21 @@ def glue_auto(g: NumericDiffeo, n: int = 4096, retries: int = 6) -> NumericDiffe
 # ---------------------------------------------------------------------------
 # charts and chains
 
-@dataclass(frozen=True)
-class IntervalChart:
+class IntervalChart(Record):
     """A chart with an abstract domain and an open bounded image interval."""
 
     label: str
     image: tuple
 
-    def __post_init__(self):
-        a, c = float(self.image[0]), float(self.image[1])
+    def __init__(self, label: str, image):
+        a, c = float(image[0]), float(image[1])
         if not (math.isfinite(a) and math.isfinite(c) and a < c):
             raise DomainError(f"image must be a bounded interval, got ({a}, {c})")
-        object.__setattr__(self, "image", (a, c))
+        setfield(self, "label", label)
+        setfield(self, "image", (a, c))
 
 
-@dataclass(frozen=True)
-class ChainAtlas:
+class ChainAtlas(Record):
     """Finite chain of interval charts with explicit overlap transitions.
 
     transitions[i] is the change of coordinates between charts i and i+1 on
@@ -626,11 +623,9 @@ class ChainAtlas:
     charts: tuple
     transitions: tuple
 
-    def __post_init__(self):
-        charts = tuple(self.charts)
-        transitions = tuple(self.transitions)
-        object.__setattr__(self, "charts", charts)
-        object.__setattr__(self, "transitions", transitions)
+    def __init__(self, charts, transitions):
+        charts = tuple(charts)
+        transitions = tuple(transitions)
         m = len(charts)
         if m < 2:
             raise NotJoinable("a chain needs at least two charts")
@@ -653,6 +648,8 @@ class ChainAtlas:
                 )
         for i, g in enumerate(transitions):
             _check_transition(g, f"transition {i}", (imgs[i + 1][0], imgs[i][1]))
+        setfield(self, "charts", charts)
+        setfield(self, "transitions", transitions)
 
 
 def _check_transition(g, name: str, overlap: Optional[tuple] = None) -> None:
@@ -678,8 +675,7 @@ def _check_transition(g, name: str, overlap: Optional[tuple] = None) -> None:
 # ---------------------------------------------------------------------------
 # certification
 
-@dataclass(frozen=True)
-class SmoothCert:
+class SmoothCert(Record):
     """Certificate from verify_ck_numeric.
 
     residuals[j-1] is the worst scaled mismatch of one-sided order-j
@@ -793,8 +789,7 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
 # ---------------------------------------------------------------------------
 # joining
 
-@dataclass(frozen=True, eq=False)
-class JoinResult:
+class JoinResult(Record, eq=False):
     """A join of two charts: the covering chart and both reparametrizations.
 
     trans_u is the new chart read against the left chart's coordinates
@@ -857,8 +852,7 @@ def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
 # ---------------------------------------------------------------------------
 # chain collapse
 
-@dataclass(frozen=True, eq=False)
-class CollapseResult:
+class CollapseResult(Record, eq=False):
     """Outcome of collapsing a chain: one chart, one transition per input
     chart (r_i reads the collapsed chart against chart i's coordinates), an
     aggregated certificate plus the per-chart ones, and the join order."""

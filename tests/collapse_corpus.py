@@ -22,7 +22,6 @@ Floats are written by repr, so two trees that compute the same bits write
 the same bytes: run it on both and cmp.
 """
 
-import dataclasses
 import hashlib
 import json
 import random
@@ -36,6 +35,8 @@ import numpy as np  # noqa: E402
 
 import gen  # noqa: E402
 from twoorigins import join  # noqa: E402
+
+from record_fields import record_fields  # noqa: E402
 
 
 def chain(seed: int, m: int) -> join.ChainAtlas:
@@ -66,7 +67,7 @@ def main(path: str) -> None:
 
     def recorded(g, *args, **kwargs):
         p = glue_auto(g, *args, **kwargs)
-        glues.append(dataclasses.asdict(p.glue))
+        glues.append(record_fields(p.glue))
         return p
 
     join.glue_auto = recorded  # join calls it through the module global
@@ -85,7 +86,7 @@ def main(path: str) -> None:
     for seed in range(40):
         atlas = chain(seed, 2)
         res = join.join_charts(*atlas.charts, atlas.transitions[0], k=2)
-        glue = None if res.glue is None else dataclasses.asdict(res.glue)
+        glue = None if res.glue is None else record_fields(res.glue)
         cases.append({"join": seed, "chart": [res.chart.label, list(res.chart.image)],
                       "passed": res.passed, "glue": glue,
                       "certs": [res.cert_u.to_json(), res.cert_v.to_json()],
@@ -99,7 +100,7 @@ def main(path: str) -> None:
                 p = join.glue_auto(g)
                 samples = np.array((p.xs, p.ys)).tobytes()
                 cases.append({"glue_steep": [seed, op["id"]],
-                              "glue": dataclasses.asdict(p.glue),
+                              "glue": record_fields(p.glue),
                               "samples": hashlib.sha256(samples).hexdigest(),
                               "maps": maps((p,), (join.IntervalChart("g", (lo, hi)),))})
             elif op["kind"] in ("verify_smooth", "verify_corner"):

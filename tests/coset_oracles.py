@@ -9,7 +9,9 @@ decide by brute force over every element and triple whether a table is a
 group and a subset a subgroup.
 """
 
-from twoorigins.cosets import FiniteGroup, WreathElement, wreath_act
+from twoorigins.cosets import WreathElement, wreath_act
+
+from groups import alternating4, cyclic, dicyclic3, dihedral, direct_product, quaternion8
 
 
 def wreath_orbits(g, d):
@@ -55,20 +57,20 @@ def is_subgroup(g, subset):
 
 def corpus_groups():
     """The groups of order at most 12 that criterion 2 sweeps."""
-    groups = [FiniteGroup.cyclic(n) for n in range(1, 13)]
-    groups += [FiniteGroup.dihedral(n) for n in range(2, 7)]
+    groups = [cyclic(n) for n in range(1, 13)]
+    groups += [dihedral(n) for n in range(2, 7)]
     groups += [
-        FiniteGroup.quaternion8(),
-        FiniteGroup.alternating4(),
-        FiniteGroup.dicyclic3(),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(3)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(4)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(3), FiniteGroup.cyclic(3)),
-        FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(6)),
-        FiniteGroup.direct_product(
-            FiniteGroup.cyclic(2),
-            FiniteGroup.direct_product(FiniteGroup.cyclic(2), FiniteGroup.cyclic(2)),
+        quaternion8(),
+        alternating4(),
+        dicyclic3(),
+        direct_product(cyclic(2), cyclic(2)),
+        direct_product(cyclic(2), cyclic(3)),
+        direct_product(cyclic(2), cyclic(4)),
+        direct_product(cyclic(3), cyclic(3)),
+        direct_product(cyclic(2), cyclic(6)),
+        direct_product(
+            cyclic(2),
+            direct_product(cyclic(2), cyclic(2)),
         ),
     ]
     assert all(len(g) <= 12 for g in groups)

@@ -6,7 +6,7 @@ The corpus is the 600 ops of perfbench/gen.take("structure_queries", s, 200)
 for s = 1, 2, 3, run in process through perfbench/ops.run_structure (read
 only), and the first 100 ops of gen.stream("cli_oneshot", s) for s = 20-25,
 run through twoorigins.cli.run, and the fixed boundary PROBES below. Each
-structure result is written as a stable repr: dataclasses field by field,
+structure result is written as a stable repr: value types field by field,
 floats by repr, and a NumericGerm, whose callable has no stable repr, as its
 orientation and provenance plus its values at 16 fixed dyadic points. Each
 CLI run is written as its exit code, stdout and stderr, with the input
@@ -19,7 +19,6 @@ same bits write the same bytes: run it on both and cmp.
 """
 
 import contextlib
-import dataclasses
 import enum
 import io
 import json
@@ -38,6 +37,8 @@ import spans  # noqa: E402
 from twoorigins import cli, dline, germs  # noqa: E402
 from twoorigins.germs import NumericGerm  # noqa: E402
 
+from record_fields import record_fields  # noqa: E402
+
 #: Where numeric germs are read: +-2^-4, 2^-8, ..., 2^-32.
 POINTS = tuple(s * 2.0 ** -k for k in range(4, 36, 4) for s in (-1.0, 1.0))
 
@@ -54,9 +55,9 @@ def stable(obj):
     if isinstance(obj, NumericGerm):
         return {"NumericGerm": [obj.orientation, obj.provenance,
                                 [repr(obj.fn(x)) for x in POINTS]]}
-    if dataclasses.is_dataclass(obj):
-        return {type(obj).__name__: {f.name: stable(getattr(obj, f.name))
-                                     for f in dataclasses.fields(obj)}}
+    fields = record_fields(obj)
+    if fields is not None:
+        return {type(obj).__name__: {name: stable(v) for name, v in fields.items()}}
     if isinstance(obj, enum.Enum):
         return repr(obj)
     if isinstance(obj, (tuple, list)):

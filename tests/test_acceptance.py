@@ -15,7 +15,6 @@ import numpy as np
 from twoorigins.cli import run
 from twoorigins.cosets import (
     CELLS,
-    FiniteGroup,
     Subgroup,
     classify_wa_pair,
     double_cosets,
@@ -43,6 +42,7 @@ from twoorigins.join import (
     glue_id_and_diff,
 )
 
+import groups
 from coset_oracles import corpus_groups, wreath_orbits
 
 
@@ -65,7 +65,7 @@ def _best_of(fn, repeats):
 
 
 def test_criterion_1_d3_double_cosets_exact_and_fast():
-    g = FiniteGroup.dihedral(3)
+    g = groups.dihedral(3)
     a = Subgroup.from_names(g, ["e", "s"])
     b = Subgroup.from_names(g, ["e", "sr"])
 

@@ -11,10 +11,11 @@ import pytest
 
 from twoorigins import cli, join
 from twoorigins.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, run
-from twoorigins.cosets import FiniteGroup
 from twoorigins.germs import compose, germ_from_json, germ_to_json, poly_germ
 from twoorigins.join import NumericDiffeo
 from twoorigins.realnum import to_real
+
+import groups
 
 
 def wa_json(a):
@@ -50,7 +51,7 @@ def write(tmp_path):
 
 @pytest.fixture
 def d3_file(write):
-    g = FiniteGroup.dihedral(3)
+    g = groups.dihedral(3)
     return write(
         "d3.json",
         {
@@ -122,7 +123,7 @@ def test_cosets_unknown_subgroup(d3_file, capsys):
     ids=["subgroups-array", "members-int", "table-int", "row-int", "elements-string"],
 )
 def test_cosets_malformed_group_json_exits_input(write, change, capsys):
-    g = FiniteGroup.cyclic(2)
+    g = groups.cyclic(2)
     doc = {"elements": ["e", "s"], "table": [list(row) for row in g.table],
            "subgroups": {"A": ["e", "s"]}}
     path = write("bad_group.json", {**doc, **change})

@@ -1,7 +1,7 @@
 """Every name a library module imports is used by that module, every
 private helper is named somewhere in the library, the library needs nothing
-at run time beyond the standard library and numpy, and only the subcommands
-that glue or certify load numpy."""
+at run time beyond the standard library and numpy, only the subcommands
+that glue or certify load numpy, and no module loads dataclasses."""
 
 import ast
 import json
@@ -118,6 +118,14 @@ def test_no_module_imports_numpy_when_imported(path):
     assert "numpy" not in import_time_imports(path.read_text(encoding="utf-8"))
 
 
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
+def test_no_module_imports_dataclasses(path):
+    # value types are Records: a dataclass execs its methods at class
+    # creation, and every CLI process would pay for it at start
+    roots = set().union(*map(import_roots, ast.walk(ast.parse(path.read_text(encoding="utf-8")))))
+    assert "dataclasses" not in roots
+
+
 def test_import_time_imports_are_found():
     source = ("import os\ntry:\n    import numpy\nexcept ImportError:\n    pass\n"
               "class A:\n    import json\n"
@@ -177,6 +185,13 @@ def test_join_and_verify_run_without_scipy(tmp_path):
         "                  sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')]))\n"
     )
     assert fresh_run(script, tmp_path) == [[0, 0], True, []]
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect(tmp_path):
+    # compared with the modules present before, since site differs by machine
+    script = ("import json, sys\nbefore = set(sys.modules)\nimport twoorigins.cli\n"
+              "print(json.dumps(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before))))\n")
+    assert fresh_run(script, tmp_path) == []
 
 
 def test_cli_imports_join_eagerly(tmp_path):
