@@ -408,23 +408,17 @@ def _orientation_product(o1: str, o2: str) -> str:
     return PRESERVING if (o1 == o2) else REVERSING
 
 
-def _poly_mul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            key = e1 + e2
-            out[key] = out.get(key, 0) + c1 * c2
-    return {e: c for e, c in out.items() if c != 0}
-
-
 def _expand_composition(outer, inner) -> list | None:
     """Terms of sum_j d_j * (P(t))**f_j where P = sum_i a_i t**e_i, P > 0 near 0.
 
-    Returns None when the substitution is not closed under finite power sums:
-    closure needs the inner side to be a monomial (with positive coefficient,
-    guaranteed by sign routing) or every outer exponent to be a positive
-    integer. Results beyond _TERM_CAP terms also return None; callers fall
-    back to the numeric representation.
+    None when the substitution is not closed under finite power sums (closure
+    needs a monomial inner side, positive by sign routing, or every outer
+    exponent a positive integer) or passes _TERM_CAP terms; callers then fall
+    back to the numeric representation. P**n is multiplied out on ints, with
+    exponents over m and coefficients over den**n, the lcms of the inner
+    exponents' and coefficients' denominators; the outer sum is over
+    sden * den**maxf, formed once every P**n has passed the cap. A float
+    coefficient anywhere leaves every coefficient as it is, over 1.
     """
     if len(inner) == 1:
         a, e = inner[0]
@@ -436,26 +430,32 @@ def _expand_composition(outer, inner) -> list | None:
         return sorted(terms, key=lambda t: t[1])
     if not all(is_integral(f) and f > 0 for _, f in outer):
         return None
-    base = {e: c for c, e in inner}
-    acc: dict = {}
-    powers: dict[int, dict] = {}
-    cur = dict(base)
-    n = 1
+    exact = all(isinstance(c, Fraction) for c, _ in (*inner, *outer))
+    den, sden = (math.lcm(*(c.denominator for c, _ in side)) if exact else 1
+                 for side in (inner, outer))
+    m = math.lcm(*(e.denominator for _, e in inner))
+    base = {e.numerator * (m // e.denominator):
+            c.numerator * (den // c.denominator) if exact else c for c, e in inner}
     maxf = max(int(f) for _, f in outer)
-    while n <= maxf:
-        powers[n] = cur
-        if n < maxf:
-            cur = _poly_mul(cur, base)
-            if len(cur) > _TERM_CAP:
-                return None
-        n += 1
+    powers = [None, base]
+    while len(powers) <= maxf:
+        out = {}
+        for e1, c1 in powers[-1].items():
+            for e2, c2 in base.items():
+                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+        powers.append({e: c for e, c in out.items() if c != 0})
+        if len(powers[-1]) > _TERM_CAP:
+            return None
+    acc: dict = {}
     for d, f in outer:
+        scale = (d.numerator * (sden // d.denominator) if exact else d) * den ** (maxf - int(f))
         for e, c in powers[int(f)].items():
-            acc[e] = acc.get(e, 0) + d * c
+            acc[e] = acc.get(e, 0) + scale * c
         if len(acc) > _TERM_CAP:
             return None
-    terms = [(c, e) for e, c in acc.items() if c != 0]
-    return sorted(terms, key=lambda t: t[1])
+    total = sden * den ** maxf
+    return [(Fraction(c, total) if exact else c, Fraction(e, m))
+            for e, c in sorted(acc.items()) if c != 0]
 
 
 def _term_pairs(side: SideExpansion):

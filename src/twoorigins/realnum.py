@@ -105,20 +105,47 @@ def real_pow(base: Real, exp: Real) -> Real:
     exactly when numerator and denominator are perfect q-th powers; otherwise
     the result degrades to float. base must be positive unless exp is
     integral (odd-root conventions are not needed anywhere in the package).
+    An exact power too long to print is refused (see _exact_pow).
     """
     if isinstance(base, Fraction) and isinstance(exp, Fraction):
         if exp.denominator == 1:
-            return base ** exp.numerator
+            return _exact_pow(base, exp.numerator)
         if base <= 0:
             raise ValueError("fractional power of a non-positive base")
         root = _fraction_root(base, exp.denominator)
         if root is not None:
-            return root ** exp.numerator
+            return _exact_pow(root, exp.numerator)
         return float(base) ** float(exp)
     b, e = float(base), float(exp)
     if b <= 0 and not float(e).is_integer():
         raise ValueError("fractional power of a non-positive base")
     return b ** e
+
+
+def _exact_pow(base: Fraction, k: int) -> Fraction:
+    """base ** k, refused before it is computed when its numerator or
+    denominator would have more than sys.get_int_max_str_digits() digits,
+    the rule parse_fraction applies to number text."""
+    limit, k_abs = sys.get_int_max_str_digits(), abs(k)
+    if limit and k_abs > 1 and any(_too_long(abs(n), k_abs, limit)
+                                   for n in (base.numerator, base.denominator)):
+        raise DomainError(f"exact power too large: its numerator or denominator would "
+                          f"have more than {limit} digits, out of float range")
+    return base ** k
+
+
+def _too_long(n: int, k: int, limit: int) -> bool:
+    """Whether n ** k, n >= 0, has more than limit digits, that is whether
+    k * log10(n) >= limit. Below 2 ** (3 * limit) it has not (2 ** 3 < 10).
+    Within a relative 1e-9 of the limit, where the float logarithm could
+    round across it, the power is compared exactly; it has at most
+    limit + 1 digits there."""
+    if n < 2 or k * n.bit_length() <= 3 * limit:
+        return False
+    x = k * math.log10(n)
+    if abs(x - limit) > 1e-9 * limit:
+        return x > limit
+    return n ** k >= 10 ** limit
 
 
 def _fraction_root(f: Fraction, q: int) -> Fraction | None:

@@ -14,8 +14,10 @@ files' directory shown as <dir>, or as the exception it raised. The
 numeric-inverse block inverts the six pool cubics of each of those seeds
 and 20 fixed s (x + c sin x) callables, and reads each inverse at
 INVERSE_POINTS in order and then reversed, and a fresh one reversed; it
-ends with the error text of a germ that folds. Two trees that compute the
-same bits write the same bytes: run it on both and cmp.
+ends with the error text of a germ that folds. The composition block
+composes every ordered pair of COMPOSED, germs the benchmark never draws.
+Two trees that compute the same bits write the same bytes: run it on both
+and cmp.
 """
 
 import contextlib
@@ -25,6 +27,7 @@ import json
 import math
 import sys
 import tempfile
+from fractions import Fraction as F
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -117,6 +120,39 @@ def inverse_cases() -> list:
     return cases
 
 
+#: Fractional exponents with denominators 2 and 3, float coefficients (which
+#: no germ file carries), the pair whose composite loses its t^2 term, and
+#: outer powers whose expansion reaches germs._TERM_CAP terms (x^511 after
+#: x + x^2) or passes it (x^513 after x + x^2).
+COMPOSED = {
+    "x + x^2": germs.poly_germ({1: 1, 2: 1}),
+    "x - x^2": germs.poly_germ({1: 1, 2: -1}),
+    "0.1x + 0.3x^2": germs.Germ.from_sides([(-0.1, 1), (0.3, 2)], [(0.1, 1), (0.3, 2)]),
+    "mixed floats": germs.Germ.from_sides([(F(-1, 3), 1), (0.3, 2)],
+                                          [(F(1, 3), 1), (0.1, F(5, 2)), (F(-2, 7), 3)]),
+    "fractional": germs.Germ.from_sides([(-2, 1), (F(1, 3), F(4, 3)), (F(-5, 2), F(5, 2))],
+                                        [(F(3, 2), 1), (F(-1, 2), F(3, 2)), (F(2, 3), F(7, 3))]),
+    "fractional monomials": germs.Germ.from_sides([(F(-9, 4), F(3, 2))], [(F(8, 27), F(1, 3))]),
+    "reversing": germs.Germ.from_sides([(F(1, 2), 1), (F(1, 5), 3)],
+                                       [(-2, 1), (F(-3, 7), F(5, 3))]),
+    "x^511": germs.poly_germ({511: 1}),
+    "x^513": germs.poly_germ({513: 1}),
+    "x + x^512/2": germs.poly_germ({1: 1, 512: F(1, 2)}),
+}
+
+
+def composition_cases() -> list:
+    cases = []
+    for gname, g in COMPOSED.items():
+        for hname, h in COMPOSED.items():
+            try:
+                out = stable(germs.compose(g, h))
+            except Exception as exc:  # a raise is a result too
+                out = {"raised": f"{type(exc).__name__}: {exc}"}
+            cases.append({"compose": [gname, hname], "result": out})
+    return cases
+
+
 def run_cli(argv: list, workdir: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -199,8 +235,8 @@ def probe_cases(workdir: Path) -> list:
 
 def main(path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
-        cases = (structure_cases() + inverse_cases() + cli_cases(Path(tmp))
-                 + probe_cases(Path(tmp)))
+        cases = (structure_cases() + inverse_cases() + composition_cases()
+                 + cli_cases(Path(tmp)) + probe_cases(Path(tmp)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True, indent=0)
         fh.write("\n")

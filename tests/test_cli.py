@@ -202,6 +202,30 @@ def test_huge_exponent_is_refused_at_once(write, capsys):
     assert time.perf_counter() - start < 1.0
 
 
+def test_oversized_exact_power_is_refused_at_once(write, capsys):
+    # x^(10^9 + 1) after 3x asks for 3^(10^9 + 1), about 4.8e8 digits
+    g = write("g.json", {"neg": [{"c": -1, "e": 10 ** 9 + 1}],
+                         "pos": [{"c": 1, "e": 10 ** 9 + 1}], "orientation": "preserving"})
+    h = write("h.json", {"neg": [{"c": -3, "e": 1}], "pos": [{"c": 3, "e": 1}],
+                         "orientation": "preserving"})
+    start = time.perf_counter()
+    assert run(["germ", "compose", "--g", g, "--h", h]) == EXIT_INPUT
+    assert time.perf_counter() - start < 1.0
+    assert "digits" in capsys.readouterr().err
+
+
+def test_composition_past_the_term_cap_answers_in_bounded_time(write, capsys):
+    # (3x + x^200000) after itself: the inner side's powers pass the term
+    # cap at the 512th, and the composite is numeric
+    h = write("h.json", {"neg": [{"c": -3, "e": 1}, {"c": 1, "e": 200000}],
+                         "pos": [{"c": 3, "e": 1}, {"c": 1, "e": 200000}],
+                         "orientation": "preserving"})
+    start = time.perf_counter()
+    assert run(["germ", "compose", "--g", h, "--h", h]) == EXIT_NUMERIC
+    assert time.perf_counter() - start < 2.0
+    assert "numerically" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["2", "0.5", "1/3", "1e3", " -1_0.5E+1_0 ", "1e4299"])
 def test_numbers_parse_as_fraction_reads_them(text):
     assert cli._rational(text) == Fraction(text)

@@ -1,11 +1,14 @@
 """Exact germ algebra: construction, composition, jets, smoothness tests."""
 
 import math
+import sys
+import time
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twoorigins import germs
@@ -42,6 +45,8 @@ from twoorigins.germs import (
     smoothness_at_zero,
 )
 from twoorigins.realnum import real_eq, real_json, real_pow, real_sqrt, to_real
+
+import composition_reference
 
 # Dyadic rationals survive the float round trip in JSON exactly.
 dyadics = st.integers(-64, 64).flatmap(
@@ -171,6 +176,69 @@ def test_compose_open_form_falls_back_to_numeric():
     assert isinstance(c, NumericGerm)
     x = 0.01
     assert abs(c.fn(x) - float(evaluate(g, evaluate(h, x)))) < 1e-15
+
+
+# -- exact composition against the Fraction loop it replaced --------------------
+
+_sub_exps = st.builds(F, st.integers(1, 9), st.sampled_from([1, 2, 3]))
+_sub_coeffs = st.one_of(
+    st.builds(F, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, 5, 7])),
+    st.sampled_from([0.1, 0.3, -0.75, 2.0]))
+# mostly integers 1..6, which close the substitution; now and then not
+_outer_exps = st.sampled_from([F(f) for f in range(1, 7)] * 2 + [F(3, 2)])
+
+
+@st.composite
+def substitutions(draw):
+    """(outer, inner) term pairs as compose passes them: inner exponents with
+    denominators 1, 2 and 3 and a positive leading coefficient, Fraction or
+    float coefficients of either sign."""
+    exps = sorted(draw(st.lists(_sub_exps, min_size=1, max_size=4, unique=True)))
+    inner = [(abs(draw(_sub_coeffs)), exps[0])] + [(draw(_sub_coeffs), e) for e in exps[1:]]
+    fs = sorted(draw(st.lists(_outer_exps, min_size=1, max_size=3, unique=True)))
+    return [(draw(_sub_coeffs), f) for f in fs], inner
+
+
+def _terms(expanded):
+    # repr tells a Fraction from a float and shows every bit of a float
+    return None if expanded is None else [(repr(c), repr(e)) for c, e in expanded]
+
+
+@given(substitutions())
+@example(([(F(1), F(1)), (F(1), F(2))], [(F(1), F(1)), (F(-1), F(2))]))  # x + x^2 after x - x^2
+@example(([(F(1), F(2))], [(F(1), F(1)), (F(2), F(2)), (F(-2), F(3))]))  # P^2 loses t^4
+@example(([(0.1, F(1)), (0.3, F(2))], [(0.1, F(1)), (0.3, F(2))]))
+@settings(max_examples=300, deadline=None)
+def test_exact_composition_matches_the_fraction_loop(sub):
+    # caps 1..16 put None at every step of both loops on these small sums
+    outer, inner = sub
+    for cap in (*range(1, 17), germs._TERM_CAP):
+        with mock.patch.object(germs, "_TERM_CAP", cap):
+            assert _terms(germs._expand_composition(outer, inner)) == \
+                _terms(composition_reference.expand_composition(outer, inner)), cap
+
+
+@pytest.mark.parametrize("base, exp, want", [
+    (F(3), F(9012), F(3 ** 9012)), (F(1, 3), F(9012), F(1, 3 ** 9012)),
+    (F(10), F(4299), F(10 ** 4299)), (F(2, 3), F(-9012), F(3 ** 9012, 2 ** 9012)),
+    (F(8), F(14284, 3), F(2 ** 14284)), (F(10 ** 20 - 1), F(215), F((10 ** 20 - 1) ** 215))])
+def test_exact_power_up_to_the_digit_limit_is_computed_exactly(base, exp, want):
+    # each has 4300 digits, the default sys.get_int_max_str_digits();
+    # 215 * log10(10^20 - 1) falls short of 4300 by about 1e-18
+    p = real_pow(base, exp)
+    assert type(p) is F and p == want
+    assert max(len(str(abs(p.numerator))), len(str(p.denominator))) == \
+        sys.get_int_max_str_digits() == 4300
+
+
+@pytest.mark.parametrize("base, exp", [
+    (F(3), F(9013)), (F(1, 3), F(9013)), (F(10), F(4300)), (F(3, 2), F(-9013)),
+    (F(8), F(14285, 3)), (F(10 ** 20 + 1), F(215)), (F(3), F(10 ** 9 + 1))])
+def test_exact_power_past_the_digit_limit_is_refused_unbuilt(base, exp):
+    start = time.perf_counter()
+    with pytest.raises(DomainError, match="more than 4300 digits"):
+        real_pow(base, exp)
+    assert time.perf_counter() - start < 0.5
 
 
 @pytest.mark.parametrize(
