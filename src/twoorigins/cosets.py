@@ -1,9 +1,10 @@
 """Exact double cosets on finite multiplication-table groups.
 
-Groups live as Cayley tables over named elements, capped at 64 elements so
-construction checks exhaustively the three facts that make a table a group:
-a two-sided identity, associativity on every triple (one row of the table at
-a time in C) and the identity in every row. On top of the tables:
+Groups live as Cayley tables over named elements, capped at 64 elements.
+Construction checks the three facts that make a table a group: a two-sided
+identity, associativity (proved from the rows of a generating set, one row
+of the table at a time in C; a failure names the triple a scan of every row
+would name first) and the identity in every row. On top of the tables:
 plain (C,D)-double cosets, the symmetrized variant that also folds h into
 h^-1 (by the union formula alone; the tests check it against the wreath-square
 orbits), the wreath-product action behind that symmetrization, and the
@@ -16,8 +17,9 @@ from ._record import Record, setfield
 from .errors import DomainError
 from .realnum import real_json, to_real
 
-#: Associativity is checked on all n^3 triples; keep inputs desk-scale. The
-#: cap also keeps every table entry below 256, which that check relies on.
+#: Associativity is proved from a generating set's rows, up to n^3 triples
+#: read when every element is a generator; keep inputs desk-scale. The cap
+#: also keeps every table entry below 256, which that check relies on.
 MAX_GROUP_ORDER = 64
 
 
@@ -25,11 +27,15 @@ class FiniteGroup(Record):
     """A group given by element names and a Cayley table of indices.
 
     table[i][j] is the index of elements[i] * elements[j]. Construction
-    verifies a two-sided identity, associativity on every triple (for each i,
-    all (ij)k against i(jk) in one bytes comparison), and that every row
-    holds the identity, i.e. every element has a right inverse. Those make a
-    group, so the table is a Latin square without a check of its own; the
-    inverses found are kept so inv() is a table lookup.
+    verifies a two-sided identity, associativity, and that every row holds
+    the identity, i.e. every element has a right inverse. Associativity is
+    checked on the rows of a generating set only (for each such i, all
+    (ij)k against i(jk) in one bytes comparison), which proves it for every
+    row; the first row that fails is always a generator's, so a failure
+    names the lexicographically first failing triple, as a scan of every row
+    would. Those facts make a group, so the table is a Latin square without
+    a check of its own; the inverses found are kept so inv() is a table
+    lookup.
     """
 
     elements: tuple[str, ...]
@@ -52,27 +58,49 @@ class FiniteGroup(Record):
             raise DomainError("table entries must be integers") from None
         except ValueError:
             raise DomainError("table entry out of range") from None
-        if max(map(max, rows)) >= n:
-            raise DomainError("table entry out of range")
         flat = b"".join(rows)
+        if flat.translate(None, bytes(range(n))):
+            raise DomainError("table entry out of range")
         ident = bytes(range(n))
         e = next((e for e in range(n) if rows[e] == ident and flat[e::n] == ident), None)
         if e is None:
             raise DomainError("no identity element")
-        # For each i, (ij)k = i(jk) for all j, k at once: left lays the rows
-        # of the products ij end to end, right reads every row j through
-        # row i. Entries are below n <= 64, so translate does the reads in C.
+        # Light's test: the rows that pass, {a : (ay)z = a(yz) for all y, z},
+        # are closed under the product, and the identity's row passes, so it
+        # is enough that the rows of a generating set pass. Generators are
+        # picked in index order among the elements not yet reached; reached
+        # holds every left-nested product of them, closed under right
+        # multiplication by each generator, each element times each
+        # generator read once. Every row before a generator's is reached or
+        # a generator's and passes, so the first row that fails is a
+        # generator's, and its first mismatch is the lexicographically first
+        # failing triple.
+        # For row g, (gj)k = g(jk) for all j, k at once: left lays the rows
+        # of the products gj end to end, right reads every row j through
+        # row g. Entries are below n <= 64, so translate does the reads in C.
         pad = bytes(256 - n)
-        for i in range(n):
-            left = b"".join(map(rows.__getitem__, self.table[i]))
-            right = flat.translate(rows[i] + pad)
+        reached, gens = {e}, bytearray()
+        for g in range(n):
+            if g in reached:
+                continue
+            left = b"".join(map(rows.__getitem__, rows[g]))
+            right = flat.translate(rows[g] + pad)
             if left != right:
                 at = next(p for p in range(n * n) if left[p] != right[p])
                 j, k = divmod(at, n)
                 raise DomainError(
-                    f"associativity fails at ({self.elements[i]}, "
+                    f"associativity fails at ({self.elements[g]}, "
                     f"{self.elements[j]}, {self.elements[k]})"
                 )
+            gens.append(g)
+            # the reached elements times g are column g read at them
+            frontier = set(bytes(reached).translate(flat[g::n] + pad)) - reached
+            while frontier:
+                reached |= frontier
+                new = set()
+                for x in frontier:
+                    new.update(gens.translate(rows[x] + pad))
+                frontier = new - reached
         # the identity's place in row i is i's right inverse, which in a
         # group is also its left inverse
         inv = tuple(row.find(e) for row in rows)

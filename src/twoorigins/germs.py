@@ -392,12 +392,19 @@ def _float_fn(h: GermLike) -> Callable[[float], float]:
         pos = [(float(t.coeff), float(t.exponent)) for t in h.pos.terms]
     except OverflowError as exc:
         raise DomainError(f"{exc}; a value is out of float range") from exc
+    # a plain left-to-right loop: sum() adds floats in the same order on
+    # CPython 3.11 but switched to compensated summation in 3.12
     def fn(x: float) -> float:
         if x == 0.0:
             return 0.0
         if x < 0.0:
-            return sum(c * (-x) ** e for c, e in neg)
-        return sum(c * x ** e for c, e in pos)
+            x, terms = -x, neg
+        else:
+            terms = pos
+        s = 0.0
+        for c, e in terms:
+            s += c * x ** e
+        return s
     return fn
 
 
@@ -416,16 +423,21 @@ def _expand_composition(outer, inner) -> list | None:
     exponent a positive integer) or passes _TERM_CAP terms; callers then fall
     back to the numeric representation. P**n is multiplied out on ints, with
     exponents over m and coefficients over den**n, the lcms of the inner
-    exponents' and coefficients' denominators; the outer sum is over
-    sden * den**maxf, formed once every P**n has passed the cap. A float
-    coefficient anywhere leaves every coefficient as it is, over 1.
+    exponents' and coefficients' denominators; only the powers that the outer
+    exponents name are kept, and the outer sum is over sden * den**maxf,
+    formed once every P**n has passed the cap. A float coefficient anywhere
+    leaves every coefficient as it is, over 1; a product of nonzero floats
+    that underflows to 0.0 is refused rather than dropped as if it cancelled.
     """
     if len(inner) == 1:
         a, e = inner[0]
         out: dict = {}
         for d, f in outer:
             key = e * f
-            out[key] = out.get(key, 0) + d * real_pow(a, f)
+            v = d * real_pow(a, f)
+            if not v:
+                _underflow()
+            out[key] = out.get(key, 0) + v
         terms = [(c, e) for e, c in out.items() if c != 0]
         return sorted(terms, key=lambda t: t[1])
     if not all(is_integral(f) and f > 0 for _, f in outer):
@@ -436,26 +448,40 @@ def _expand_composition(outer, inner) -> list | None:
     m = math.lcm(*(e.denominator for _, e in inner))
     base = {e.numerator * (m // e.denominator):
             c.numerator * (den // c.denominator) if exact else c for c, e in inner}
-    maxf = max(int(f) for _, f in outer)
-    powers = [None, base]
-    while len(powers) <= maxf:
+    named = {int(f) for _, f in outer}
+    maxf = max(named)
+    power, powers = base, {1: base}
+    for n in range(2, maxf + 1):
         out = {}
-        for e1, c1 in powers[-1].items():
+        for e1, c1 in power.items():
             for e2, c2 in base.items():
-                out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
-        powers.append({e: c for e, c in out.items() if c != 0})
-        if len(powers[-1]) > _TERM_CAP:
+                v = c1 * c2
+                if not v:
+                    _underflow()
+                out[e1 + e2] = out.get(e1 + e2, 0) + v
+        power = {e: c for e, c in out.items() if c != 0}
+        if len(power) > _TERM_CAP:
             return None
+        if n in named:
+            powers[n] = power
     acc: dict = {}
     for d, f in outer:
         scale = (d.numerator * (sden // d.denominator) if exact else d) * den ** (maxf - int(f))
         for e, c in powers[int(f)].items():
-            acc[e] = acc.get(e, 0) + scale * c
+            v = scale * c
+            if not v:
+                _underflow()
+            acc[e] = acc.get(e, 0) + v
         if len(acc) > _TERM_CAP:
             return None
     total = sden * den ** maxf
     return [(Fraction(c, total) if exact else c, Fraction(e, m))
             for e, c in sorted(acc.items()) if c != 0]
+
+
+def _underflow():
+    raise DomainError("a composed coefficient underflows to 0.0 although its factors "
+                      "are nonzero, out of float range")
 
 
 def _term_pairs(side: SideExpansion):

@@ -16,6 +16,8 @@ and 20 fixed s (x + c sin x) callables, and reads each inverse at
 INVERSE_POINTS in order and then reversed, and a fresh one reversed; it
 ends with the error text of a germ that folds. The composition block
 composes every ordered pair of COMPOSED, germs the benchmark never draws.
+The rejected-group block records the error text of one-entry changes of
+the benchmark's groups and of two degenerate 64-element tables.
 Two trees that compute the same bits write the same bytes: run it on both
 and cmp.
 """
@@ -37,7 +39,7 @@ import gen  # noqa: E402
 import oneshot  # noqa: E402
 import ops  # noqa: E402
 import spans  # noqa: E402
-from twoorigins import cli, dline, germs  # noqa: E402
+from twoorigins import cli, cosets, dline, germs  # noqa: E402
 from twoorigins.germs import NumericGerm  # noqa: E402
 
 from record_fields import record_fields  # noqa: E402
@@ -153,6 +155,36 @@ def composition_cases() -> list:
     return cases
 
 
+def _degenerate(fill: int) -> dict:
+    """64 elements, x0 the identity and x * y = x<fill> for x, y != x0."""
+    names = [f"x{v}" for v in range(64)]
+    return {"name": f"degenerate {fill}", "elements": names,
+            "table": [[j if i == 0 else i if j == 0 else fill for j in range(64)]
+                      for i in range(64)]}
+
+
+def rejected_group_cases() -> list:
+    """Each group of gen.GROUP_SPECS with one entry changed per row, at
+    column (7i + 3) mod n and to (v + 1 + i mod (n - 1)) mod n, never v, and
+    the two degenerate 64-element tables, with the error each raises."""
+    tables = [gen.group_case(gen._rng("structure_queries", 0), i)["group"]
+              for i in range(len(gen.GROUP_SPECS))]
+    cases = []
+    for spec in tables:
+        n = len(spec["elements"])
+        for i in range(n):
+            j = (7 * i + 3) % n
+            table = [list(row) for row in spec["table"]]
+            table[i][j] = (table[i][j] + 1 + i % (n - 1)) % n
+            changed = {**spec, "table": table, "subgroups": {}}
+            cases.append({"group": [spec["name"], i, j, table[i][j]],
+                          "raised": _raised(cosets.FiniteGroup.from_json, changed)})
+    for fill in (0, 1):
+        cases.append({"group": [f"degenerate {fill}"],
+                      "raised": _raised(cosets.FiniteGroup.from_json, _degenerate(fill))})
+    return cases
+
+
 def run_cli(argv: list, workdir: Path) -> dict:
     out, err = io.StringIO(), io.StringIO()
     try:
@@ -236,7 +268,7 @@ def probe_cases(workdir: Path) -> list:
 def main(path: str) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         cases = (structure_cases() + inverse_cases() + composition_cases()
-                 + cli_cases(Path(tmp)) + probe_cases(Path(tmp)))
+                 + rejected_group_cases() + cli_cases(Path(tmp)) + probe_cases(Path(tmp)))
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True, indent=0)
         fh.write("\n")

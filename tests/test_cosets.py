@@ -2,6 +2,7 @@
 
 import itertools
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -82,6 +83,12 @@ def test_from_table_rejects_non_latin_square():
     # inverse checks
     with pytest.raises(DomainError, match="must be integers"):
         groups.from_table(["e", "a"], [[0, 1.0], [1, 0]])
+
+
+@pytest.mark.parametrize("entry", [-1, 3, 255, 256])
+def test_from_table_rejects_entries_outside_the_group(entry):
+    with pytest.raises(DomainError, match="table entry out of range"):
+        groups.from_table(["e", "a", "b"], [[0, 1, 2], [1, 2, entry], [2, 0, 1]])
 
 
 def _accepted(names, table) -> bool:
@@ -272,6 +279,89 @@ def test_relabelled_loops_name_the_first_failing_triple(m, rnd):
         for b in range(n):
             relabelled[sigma[a]][sigma[b]] = sigma[table[a][b]]
     _assert_checked_like_triple_loop(relabelled, [f"x{v}" for v in range(n)])
+
+
+def _full_scan_verdict(table, names):
+    """The error the construction's full check gives, or None: the first
+    two-sided identity, then the first failing triple, then the first row
+    without the identity."""
+    n = len(table)
+    ident = list(range(n))
+    e = next((e for e in range(n)
+              if list(table[e]) == ident and [row[e] for row in table] == ident), None)
+    if e is None:
+        return "no identity element"
+    first = _first_nonassociative(table)
+    if first is not None:
+        i, j, k = (names[v] for v in first)
+        return f"associativity fails at ({i}, {j}, {k})"
+    missing = next((i for i in range(n) if e not in table[i]), None)
+    return None if missing is None else f"{names[missing]} has no inverse"
+
+
+def _product(*factors):
+    g = factors[-1]
+    for f in reversed(factors[:-1]):
+        g = groups.direct_product(f, g)
+    return g
+
+
+_C = groups.cyclic
+_GROUP_TABLES = [g.table for g in (
+    _C(1), _C(2), _C(7), _C(12), _C(40), _C(64),
+    groups.dihedral(3), groups.dihedral(8), groups.dihedral(24), groups.dihedral(32),
+    _product(_C(2), _C(2)), _product(_C(3), _C(4)), _product(_C(2), groups.dihedral(4)),
+    _product(_C(4), _C(4), _C(4)), _product(_C(2), _C(2), _C(2), _C(2), _C(2), _C(2)),
+    _product(_C(2), _C(2), groups.dihedral(8)))]
+
+
+@given(st.sampled_from(_GROUP_TABLES), st.integers(0, 3), st.randoms(use_true_random=False))
+@settings(max_examples=60, deadline=None)
+def test_group_check_accepts_groups_and_names_the_full_scans_error(base, changes, rnd):
+    n = len(base)
+    sigma = rnd.sample(range(n), n)
+    table = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            table[sigma[a]][sigma[b]] = sigma[base[a][b]]
+    for _ in range(changes):
+        table[rnd.randrange(n)][rnd.randrange(n)] = rnd.randrange(n)
+    names = [f"x{v}" for v in range(n)]
+    want = _full_scan_verdict(table, names)
+    assert (want is None) == is_group(table)
+    if want is None:
+        groups.from_table(names, table)
+    else:
+        with pytest.raises(DomainError, match=f"^{re.escape(want)}$"):
+            groups.from_table(names, table)
+
+
+def _best_of(fn, repeat=5):
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+@pytest.mark.parametrize("fill, message", [
+    # x * y = e for x, y != e: (x1 x1) x2 = x2 but x1 (x1 x2) = x1
+    (0, "associativity fails at (x1, x1, x2)"),
+    # x * y = x1 for x, y != e: associative, every non-identity element
+    # is a generator, and no row but e's holds e
+    (1, "x1 has no inverse"),
+])
+def test_64_element_degenerate_tables_are_rejected_quickly(fill, message):
+    n = 64
+    table = [[j if i == 0 else i if j == 0 else fill for j in range(n)] for i in range(n)]
+    names = [f"x{v}" for v in range(n)]
+    assert _full_scan_verdict(table, names) == message
+
+    def build():
+        with pytest.raises(DomainError, match=re.escape(message)):
+            groups.from_table(names, table)
+    assert _best_of(build) < 2e-3
 
 
 def test_subgroup_validation():

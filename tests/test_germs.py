@@ -1,6 +1,8 @@
 """Exact germ algebra: construction, composition, jets, smoothness tests."""
 
+import functools
 import math
+import operator
 import sys
 import time
 from fractions import Fraction as F
@@ -216,6 +218,31 @@ def test_exact_composition_matches_the_fraction_loop(sub):
         with mock.patch.object(germs, "_TERM_CAP", cap):
             assert _terms(germs._expand_composition(outer, inner)) == \
                 _terms(composition_reference.expand_composition(outer, inner)), cap
+
+
+_SMALL = Germ.from_sides([(-0.1, 1), (0.3, 2)], [(0.1, 1), (0.3, 2)])
+
+
+@pytest.mark.parametrize("outer", [poly_germ({511: 1}), poly_germ({513: 1})])
+def test_float_composition_that_underflows_is_refused(outer):
+    # (0.1t + 0.3t^2)^n has coefficients near 0.1^n: products of nonzero
+    # floats reach 0.0 long before the term cap, and are not cancellations
+    with pytest.raises(DomainError, match="out of float range"):
+        compose(outer, _SMALL)
+
+
+def test_float_monomial_composition_that_underflows_is_refused():
+    tiny = Germ.from_sides([(-1e-200, 1)], [(1e-200, 1)])
+    with pytest.raises(DomainError, match="out of float range"):
+        compose(poly_germ({3: 1}), tiny)
+
+
+def test_float_composition_that_cancels_drops_the_term():
+    # (x - x^2) after (x + x^2) = x - 2x^3 - x^4: the t^2 term cancels to 0.0
+    g = Germ.from_sides([(-1.0, 1), (-1.0, 2)], [(1.0, 1), (-1.0, 2)])
+    h = Germ.from_sides([(-1.0, 1), (1.0, 2)], [(1.0, 1), (1.0, 2)])
+    c = compose(g, h)
+    assert [(t.coeff, t.exponent) for t in c.pos.terms] == [(1.0, 1), (-2.0, 3), (-1.0, 4)]
 
 
 @pytest.mark.parametrize("base, exp, want", [
@@ -472,6 +499,47 @@ def test_nested_numeric_inverse_matches_fixed_length_reference(h, y):
     preserving = h.orientation == "preserving"
     ref_solve = _invert_reference(_invert_reference(h.fn, preserving), preserving)
     _same_float(invert(invert(h)).fn, ref_solve, y)
+
+
+def _left_to_right(h, x):
+    """h at x as float, each side's terms added one by one from 0.0."""
+    if x == 0.0:
+        return 0.0
+    side, t = (h.neg, -x) if x < 0.0 else (h.pos, x)
+    return functools.reduce(
+        operator.add, (float(term.coeff) * t ** float(term.exponent) for term in side.terms), 0.0)
+
+
+_fn_coeffs = st.one_of(
+    st.builds(F, st.integers(-99, 99).filter(bool), st.integers(1, 60)),
+    st.floats(-1e3, 1e3, allow_nan=False).filter(bool))
+_fn_points = st.one_of(
+    st.builds(lambda s, k: s * 2.0 ** -k, st.sampled_from([-1.0, 1.0]), st.integers(0, 1074)),
+    st.just(-0.0))
+
+
+@st.composite
+def float_fn_germs(draw):
+    """Germs of 1-8 terms a side, exponents with denominators 1, 2 and 3,
+    Fraction and float coefficients of both signs, either orientation."""
+    sign = draw(st.sampled_from([1, -1]))
+    sides = []
+    for lead in (-sign, sign):
+        exps = sorted(draw(st.lists(st.builds(F, st.integers(1, 24), st.sampled_from([1, 2, 3])),
+                                    min_size=1, max_size=8, unique=True)))
+        c = abs(draw(_fn_coeffs)) * lead
+        sides.append([(c, exps[0])] + [(draw(_fn_coeffs), e) for e in exps[1:]])
+    return Germ.from_sides(*sides)
+
+
+@given(float_fn_germs(), st.lists(_fn_points, min_size=1, max_size=8))
+@example(Germ.from_sides([(F(-1, 3), 1), (0.1, F(3, 2)), (F(2, 7), F(7, 3))],
+                         [(0.1, 1), (F(-2, 3), F(4, 3)), (0.3, 2)]), [-0.0, 2.0 ** -1074, -0.5])
+@settings(max_examples=100, deadline=None)
+def test_float_fn_adds_terms_left_to_right(h, xs):
+    fn = germs._float_fn(h)
+    for x in xs:
+        assert fn(x).hex() == _left_to_right(h, x).hex()
 
 
 def test_numeric_inverse_stops_once_lo_and_hi_are_adjacent(monkeypatch):
