@@ -18,6 +18,10 @@ ORDER_CAP = 4
 _WEIGHTS = tuple(tuple((-1) ** (j - i) * math.comb(j, i) for i in range(j + 1))
                  for j in range(ORDER_CAP + 1))
 
+#: 2^m and 2^m - 1 for tableau levels m = 1..1023; 2.0**1024 overflows.
+_LEVEL_FAC = tuple(2.0 ** m for m in range(1, 1024))
+_LEVEL_DIV = tuple(fac - 1.0 for fac in _LEVEL_FAC)
+
 
 def halving(h0: float, levels: int) -> list:
     """The step sequence h0, h0/2, h0/4, ... that the tableau assumes."""
@@ -40,22 +44,24 @@ def one_sided(rows, j: int, steps, sign: float) -> tuple:
     neighbours wins, so rounding noise at the finest steps cannot mask an
     earlier converged region.
     """
+    weights = _WEIGHTS[j]
     raw = []
     for row, h in zip(rows, steps):
         acc = 0.0
-        for w, v in zip(_WEIGHTS[j], row):
+        for w, v in zip(weights, row):
             acc += w * v
         raw.append(acc / (sign * h) ** j)
-    tableau: list[list[float]] = []
     best_val, best_err = raw[0], math.inf
+    above: list = []
     for q in raw:
         row = [q]
-        for m in range(1, len(tableau) + 1):
-            fac = 2.0 ** m
-            prev = tableau[-1][m - 1]
-            row.append((fac * row[m - 1] - prev) / (fac - 1.0))
-            errt = max(abs(row[m] - row[m - 1]), abs(row[m] - prev))
+        for prev, fac, div in zip(above, _LEVEL_FAC, _LEVEL_DIV):
+            val = (fac * q - prev) / div
+            e1, e2 = abs(val - q), abs(val - prev)
+            errt = e2 if e2 > e1 else e1  # max(e1, e2), NaN included
             if errt < best_err:
-                best_err, best_val = errt, row[m]
-        tableau.append(row)
+                best_err, best_val = errt, val
+            row.append(val)
+            q = val
+        above = row
     return best_val, best_err, raw

@@ -43,6 +43,9 @@ K_MAX = 12
 #: Exact composition falls back to numeric beyond this many expansion terms.
 _TERM_CAP = 512
 
+#: |x| at NumericGerm's validation samples on each side: 2^-2 .. 2^-15.
+_SAMPLE_STEPS = tuple(2.0 ** -j for j in range(2, 16))
+
 #: Richardson step schedule for one-sided numeric derivatives: 2^-4 .. 2^-16.
 _RICH_STEPS = _numerics.halving(2.0 ** -4, 13)
 
@@ -230,7 +233,7 @@ class NumericGerm(Record):
     def _validate_samples(self):
         sgn = 1.0 if self.orientation == PRESERVING else -1.0
         for side in (-1.0, 1.0):
-            xs = [side * 2.0 ** -j for j in range(2, 16)]
+            xs = [side * t for t in _SAMPLE_STEPS]
             ys = [self.fn(x) for x in xs]
             expected = sgn * side
             if any(math.copysign(1.0, y) != expected for y in ys):
@@ -479,8 +482,8 @@ def _expand_composition(outer, inner) -> list | None:
             for e, c in sorted(acc.items()) if c != 0]
 
 
-def _underflow():
-    raise DomainError("a composed coefficient underflows to 0.0 although its factors "
+def _underflow(what: str = "a composed coefficient"):
+    raise DomainError(f"{what} underflows to 0.0 although its factors "
                       "are nonzero, out of float range")
 
 
@@ -520,12 +523,17 @@ def _prov(h: GermLike) -> str:
 
 def _numeric_compose(g: GermLike, h: GermLike) -> NumericGerm:
     gf, hf = _float_fn(g), _float_fn(h)
-    orientation = _orientation_product(g.orientation, h.orientation)
-    return NumericGerm(
-        fn=lambda x: gf(hf(x)),
-        orientation=orientation,
-        provenance=f"compose({_prov(g)},{_prov(h)})",
-    )
+    try:
+        return NumericGerm(fn=lambda x: gf(hf(x)),
+                           orientation=_orientation_product(g.orientation, h.orientation),
+                           provenance=f"compose({_prov(g)},{_prov(h)})")
+    except DomainError:
+        # an exact composite is nonzero near 0: a 0.0 at the finest
+        # validation sample, where underflow sets in first, is underflow
+        if isinstance(g, Germ) and isinstance(h, Germ):
+            if any(gf(hf(side * _SAMPLE_STEPS[-1])) == 0.0 for side in (-1.0, 1.0)):
+                _underflow("the composite at a validation sample")
+        raise
 
 
 def invert(h: GermLike) -> GermLike:
@@ -912,9 +920,13 @@ def germ_to_json(g: Germ) -> dict:
 
 
 def germ_from_json(d: dict) -> Germ:
+    """Read germ_to_json's form. A side of more than _TERM_CAP terms, more
+    than any exact composite has, is refused before any number is read."""
     try:
-        neg = [(to_real(t["c"]), to_real(t["e"])) for t in d["neg"]]
-        pos = [(to_real(t["c"]), to_real(t["e"])) for t in d["pos"]]
+        sides = d["neg"], d["pos"]
+        if max(len(side) for side in sides) > _TERM_CAP:
+            raise ValueError(f"a side has more than {_TERM_CAP} terms")
+        neg, pos = ([(to_real(t["c"]), to_real(t["e"])) for t in side] for side in sides)
         orientation = d["orientation"]
     except (KeyError, TypeError, ValueError) as exc:
         raise DomainError(f"malformed germ JSON: {exc}") from exc

@@ -342,7 +342,14 @@ class PiecewiseMonotone(Record, eq=False):
 # numeric diffeomorphisms
 
 class GlueReport(Record):
-    """Construction record of one glue: the fitted bump mass and residuals."""
+    """Construction record of one glue: the fitted bump mass and residuals.
+
+    presnap_id is the largest gap to x that the samples at and below b + eps
+    had before they were snapped to it. presnap_g is the balance at the
+    hand-over, |b + integral of gamma from b to c - eps - g(c - eps)|, and
+    integral_residual is that balance over the span c - b; lambda is fitted
+    to it, so both read rounding only.
+    """
 
     eps: float
     lam: float
@@ -359,8 +366,10 @@ class NumericDiffeo(Record, eq=False):
     `underlying` and is the evaluator (the samples then only document the
     map); otherwise the monotone piecewise-cubic interpolant of the samples,
     the Fritsch-Butland monotone cubic, is. The evaluator is chosen once,
-    here. seams lists interior points where smoothness is merely piecewise.
-    Samples and seams must be finite.
+    here. underlying must take a 1-D array of points and answer with their
+    images; from_function makes such a rule of any callable. seams lists
+    interior points where smoothness is merely piecewise. Samples and seams
+    must be finite.
     """
 
     xs: tuple
@@ -389,7 +398,7 @@ class NumericDiffeo(Record, eq=False):
         if self.underlying is None:
             rule, slope = _monotone_cubic(xs, ys)
         else:
-            rule = _array_rule(self.underlying, xs[:2])
+            rule = self.underlying
             slope = functools.partial(_central_slope, rule, lo=self.xs[0], hi=self.xs[-1])
         setfield(self, "_rule", rule)
         setfield(self, "_slope", slope)
@@ -493,7 +502,10 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     gamma = F + R*g' + lambda*beta: F is a plateau equal to 1 near b, R a
     plateau equal to 1 near c, beta bridges the middle, and lambda is fitted
     so the cumulative quadrature lands exactly on g(c-eps) at the right seam.
-    lambda <= 0 means eps is too large for this g: GlueInfeasible.
+    lambda <= 0 means eps is too large for this g: GlueInfeasible. The
+    quadrature stops at that seam, since every sample from there on is g's
+    own value; the report's presnap_g and integral_residual are the balance
+    left there.
 
     p's rule is x itself at and below b + eps and g(x) itself at and above
     c - eps, on all of R and not just on (b, c); a join relies on that to use
@@ -534,28 +546,27 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     # import that np.unique makes on its first call
     xs = np.sort(np.concatenate((grid[~near], (lo_seam, hi_seam))))
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(cells)))
-                       for cells in _panel_integrals(xs[:-1], xs[1:], alpha, beta))
-
     i_fit = int(np.searchsorted(xs, hi_seam))
+    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(cells)))
+                       for cells in _panel_integrals(xs[:i_fit], xs[1:i_fit + 1], alpha, beta))
+
     target = float(g(hi_seam))
-    numerator = target - b - i_alpha[i_fit]
-    mass = float(i_beta[i_fit])
+    numerator = target - b - i_alpha[-1]
+    mass = float(i_beta[-1])
     lam = numerator / mass
     if lam <= 0.0:
         raise GlueInfeasible(
             f"no positive bump mass at eps={eps}: the transition leaves "
             f"too little room ({numerator:.3e})", eps=eps, mass=numerator)
 
-    ys = b + i_alpha + lam * i_beta
+    ys = np.empty_like(xs)
+    ys[:i_fit + 1] = b + i_alpha + lam * i_beta
     left = xs <= lo_seam
-    right = xs >= hi_seam
-    g_right = g(xs[right])
     presnap_id = float(np.max(np.abs(ys[left] - xs[left])))
-    presnap_g = float(np.max(np.abs(ys[right] - g_right)))
+    presnap_g = abs(float(ys[i_fit]) - target)
     ys[left] = xs[left]
-    ys[right] = g_right
-    integral_residual = abs((b + i_alpha[-1] + lam * i_beta[-1]) - c) / span
+    ys[i_fit:] = g(xs[i_fit:])
+    integral_residual = presnap_g / span
 
     report = GlueReport(eps=eps, lam=float(lam), integral_residual=float(integral_residual),
                         presnap_id=presnap_id, presnap_g=presnap_g, cells=len(xs) - 1)

@@ -1,6 +1,7 @@
 """Dump a fixed corpus of chain collapses and two-chart joins to JSON.
 
 Usage: python tests/collapse_corpus.py OUT.json
+       python tests/collapse_corpus.py --diff A.json B.json
 
 The corpus is 80 collapses and 40 two-chart joins built from
 perfbench/gen.chain_spec (read only): seeds 0-39 with m = 2, 4, 8 charts by
@@ -19,7 +20,10 @@ values at 31 interior points; and 100 verify_smooth and 100 verify_corner
 certificates.
 
 Floats are written by repr, so two trees that compute the same bits write
-the same bytes: run it on both and cmp.
+the same bytes: run it on both and cmp. When they differ, --diff prints
+every differing leaf of the two dumps, grouped by its field name (the last
+key on its path) with a count per field, and exits 1; it exits 0 when every
+leaf agrees.
 """
 
 import hashlib
@@ -114,5 +118,47 @@ def main(path: str) -> None:
         fh.write("\n")
 
 
+_MISSING = object()
+
+
+def _differing(a, b, path=()):
+    """(path, a leaf, b leaf) for every leaf where the two dumps differ; a
+    key or list entry that only one side has is a leaf _MISSING on the other."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        for key in sorted(a.keys() | b.keys()):
+            yield from _differing(a.get(key, _MISSING), b.get(key, _MISSING), path + (key,))
+    elif isinstance(a, list) and isinstance(b, list):
+        for i in range(max(len(a), len(b))):
+            yield from _differing(a[i] if i < len(a) else _MISSING,
+                                  b[i] if i < len(b) else _MISSING, path + (i,))
+    elif _leaf(a) != _leaf(b):
+        yield path, a, b
+
+
+def _leaf(value) -> str:
+    return "<missing>" if value is _MISSING else json.dumps(value, sort_keys=True)
+
+
+def diff(path_a: str, path_b: str) -> int:
+    """Print the leaves where two dumps differ, grouped by field name; the
+    exit code is 1 if any leaf differs."""
+    with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
+        a, b = json.load(fa), json.load(fb)
+    fields: dict = {}
+    for path, x, y in _differing(a, b):
+        field = next((p for p in reversed(path) if isinstance(p, str)), "<top>")
+        fields.setdefault(field, []).append((path, x, y))
+    for field, leaves in sorted(fields.items()):
+        print(f"{field}: {len(leaves)} differing")
+        for path, x, y in leaves:
+            where = "".join(f"[{p!r}]" for p in path)
+            print(f"  {where}: {_leaf(x)} -> {_leaf(y)}")
+    total = sum(map(len, fields.values()))
+    print(f"{total} differing leaves in {len(fields)} fields")
+    return 1 if total else 0
+
+
 if __name__ == "__main__":
+    if sys.argv[1] == "--diff":
+        sys.exit(diff(sys.argv[2], sys.argv[3]))
     main(sys.argv[1])

@@ -226,6 +226,18 @@ def test_composition_past_the_term_cap_answers_in_bounded_time(write, capsys):
     assert "numerically" in capsys.readouterr().err
 
 
+def test_germ_side_past_the_term_cap_is_refused_before_its_numbers(tmp_path, capsys):
+    # refused by its term count, before a million numbers are read
+    path = tmp_path / "h.json"
+    path.write_text('{"neg": [{"c": -1, "e": 1}], "orientation": "preserving", "pos": ['
+                    + ", ".join(f'{{"c": 1, "e": {k}}}' for k in range(1, 10 ** 6 + 1))
+                    + "]}")
+    start = time.perf_counter()
+    assert run(["germ", "compose", "--g", str(path), "--h", str(path)]) == EXIT_INPUT
+    assert time.perf_counter() - start < 5.0
+    assert "more than 512 terms" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("text", ["2", "0.5", "1/3", "1e3", " -1_0.5E+1_0 ", "1e4299"])
 def test_numbers_parse_as_fraction_reads_them(text):
     assert cli._rational(text) == Fraction(text)

@@ -237,6 +237,20 @@ def test_float_monomial_composition_that_underflows_is_refused():
         compose(poly_germ({3: 1}), tiny)
 
 
+def test_exact_composition_past_the_cap_that_underflows_is_refused():
+    # (x + x^2)^513 passes the term cap, and the numeric fallback's values
+    # underflow to 0.0 at the validation samples
+    with pytest.raises(DomainError, match="underflows to 0.0 .* out of float range"):
+        compose(poly_germ({513: 1}), poly_germ({1: 1, 2: 1}))
+    # here the inner germ itself is 0.0 at every validation sample
+    with pytest.raises(DomainError, match="underflows to 0.0 .* out of float range"):
+        compose(poly_germ({513: 1}), poly_germ({1101: 1, 1102: 1}))
+    # a user callable keeps the validation's own message
+    user = NumericGerm(fn=lambda x: x + x * x, orientation="preserving")
+    with pytest.raises(DomainError, match="sign pattern inconsistent"):
+        compose(poly_germ({513: 1}), user)
+
+
 def test_float_composition_that_cancels_drops_the_term():
     # (x - x^2) after (x + x^2) = x - 2x^3 - x^4: the t^2 term cancels to 0.0
     g = Germ.from_sides([(-1.0, 1), (-1.0, 2)], [(1.0, 1), (-1.0, 2)])

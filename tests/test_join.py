@@ -29,6 +29,8 @@ from twoorigins.join import (
     verify_ck_numeric,
 )
 
+from glue_oracle import carried_residual
+
 
 def adaptive_simpson(f, a, b, tol=1e-10, depth=20):
     """Reference integral of f over [a, b]: adaptive composite Simpson with
@@ -344,15 +346,53 @@ def test_numeric_diffeo_json_roundtrip():
 
 
 def test_glue_x2_pinned_values():
-    p = glue_id_and_diff(x2_diffeo(), 0.1, n=4096)
+    g = x2_diffeo()
+    p = glue_id_and_diff(g, 0.1, n=4096)
     assert p(0.05) == 0.05
     assert p(0.95) == 0.95**2
     assert p.seams == (0.1, 0.9)
     rep = p.glue
     assert rep.lam > 0.0
     assert rep.integral_residual < 1e-8
+    assert carried_residual(g, p) < 1e-8
     ys = [p(x) for x in np.linspace(0.01, 0.99, 57)]
     assert all(a < b for a, b in zip(ys, ys[1:]))
+
+
+def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes(monkeypatch):
+    seen = []
+
+    def square(x):
+        seen.append(np.array(x, dtype=float).ravel())
+        return x * x
+
+    g = NumericDiffeo.from_function(square, (0.0, 1.0), n=256)
+    quadratures = []
+    panel_integrals = join_mod._panel_integrals
+
+    def recorded(left, right, *fs):
+        cells = panel_integrals(left, right, *fs)
+        quadratures.append((right, cells))
+        return cells
+
+    monkeypatch.setattr(join_mod, "_panel_integrals", recorded)
+    seen.clear()
+    p = glue_id_and_diff(g, 0.1, n=4096)
+    hi_seam = 1.0 - 0.1
+    # g' stencil nodes sit at most 2h = 2e-5 of the span past a quadrature
+    # node, so past hi_seam + 2h only the samples snapped to g are read,
+    # each once
+    points = np.concatenate(seen)
+    snapped = np.array(p.xs)[np.array(p.xs) >= hi_seam]
+    assert np.array_equal(np.sort(points[points > hi_seam + 2e-5]), snapped[1:])
+    # the quadrature ends at the seam, and the report holds the balance there
+    right, (alpha_cells, beta_cells) = quadratures[0]
+    assert right[-1] == hi_seam
+    rep = p.glue
+    balance = abs(0.0 + np.cumsum(alpha_cells)[-1] + rep.lam * np.cumsum(beta_cells)[-1]
+                  - g(hi_seam))
+    assert rep.presnap_g == balance
+    assert rep.integral_residual == balance / 1.0
 
 
 def test_glue_snap_is_exact_on_the_outer_zones():
