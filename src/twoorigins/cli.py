@@ -26,7 +26,8 @@ from fractions import Fraction
 
 from .cosets import (CELLS, FiniteGroup, classify_wa_pair, double_cosets,
                      intersection_type, pm_double_cosets)
-from .dline import classification_to_json, compose_diffeo, diffeo_classes, psi, same_structure
+from .dline import (_transition, classification_to_json, compose_diffeo, diffeo_classes, psi,
+                    same_structure)
 from .errors import (DomainError, GlueInfeasible, IncompatiblePresentations,
                      NotJoinable, TwoOriginsError)
 from .germs import (NONEXISTENT, Germ, NumericGerm, Tri, compose, germ_from_json,
@@ -39,6 +40,8 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
+#: Largest input file read, in characters; json.loads holds a germ this long in about 25 MB.
+_MAX_FILE_CHARS = 4 * 2 ** 20
 
 
 def _print_json(payload) -> None:
@@ -66,14 +69,19 @@ def _entry_json(v):
 
 def _parse_file(path: str, parse):
     """parse applied to the JSON in path; a DomainError it raises, of
-    whatever subclass, names the file."""
+    whatever subclass, names the file, as does the refusal of a long file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.loads(fh.read())
+            # 64 KiB at a time: one read of the whole bound would allocate all of it
+            text = "".join(fh.read(2 ** 16) for _ in range(_MAX_FILE_CHARS // 2 ** 16 + 1))
+        if len(text) <= _MAX_FILE_CHARS:
+            data = json.loads(text)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except ValueError as exc:  # also bad UTF-8 and an integer past Python's digit limit
         raise DomainError(f"{path}: invalid JSON: {exc}") from exc
+    if len(text) > _MAX_FILE_CHARS:
+        raise DomainError(f"{path}: more than {_MAX_FILE_CHARS} characters")
     try:
         return parse(data)
     except DomainError as exc:
@@ -184,27 +192,29 @@ def _obstruction_payload(rep):
     return {"order": o.order, "neg": _entry_json(o.neg), "pos": _entry_json(o.pos)}
 
 
+def _transition_report(h, g, k):
+    """max_order and obstruction payload of g o h^-1 at order k; Nones where either raises."""
+    try:
+        rep = smoothness_at_zero(_transition(h, g, k), k)
+        return rep.max_order, _obstruction_payload(rep)
+    except DomainError:
+        return None, None
+
+
 def _cmd_structure(args) -> int:
+    """same_structure's verdict, with dline._transition's reports of g o h^-1 and h o g^-1."""
     h = _parse_file(args.h, germ_from_json)
     g = _parse_file(args.g, germ_from_json)
     verdict = same_structure(h, g, args.k)
-
-    q = compose(g, invert(h))
-    rep = smoothness_at_zero(q, args.k)
+    max_order, obstruction = _transition_report(h, g, args.k)
     payload = {
         "same": verdict.value,
         "k": args.k,
-        "max_order": rep.max_order,
-        "obstruction": _obstruction_payload(rep),
+        "max_order": max_order,
+        "obstruction": obstruction,
         # same structures make q^-1 C^k by the inverse function theorem
-        "inverse_obstruction": None,
+        "inverse_obstruction": None if verdict is Tri.TRUE else _transition_report(g, h, args.k)[1],
     }
-    if verdict is not Tri.TRUE:
-        try:
-            rep_inv = smoothness_at_zero(invert(q), args.k)
-            payload["inverse_obstruction"] = _obstruction_payload(rep_inv)
-        except DomainError:
-            pass
 
     if args.json:
         _print_json(payload)

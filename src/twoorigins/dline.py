@@ -19,6 +19,7 @@ from .germs import (
     NumericGerm,
     PRESERVING,
     Tri,
+    _normalize_order,
     compose,
     evaluate,
     flip_germ,
@@ -30,7 +31,7 @@ from .germs import (
     make_wa,
     smoothness_at_zero,
 )
-from .realnum import real_sqrt, to_real
+from .realnum import is_integral, real_sqrt, to_real
 
 FIX = "fix"
 EXCHANGE = "exchange"
@@ -186,12 +187,47 @@ def is_orientable(atlas) -> bool:
 def same_structure(h: GermLike, g: GermLike, k) -> Tri:
     """Whether the structures of P_h and P_g agree at order k.
 
-    They agree exactly when q = g o h^-1 lies in D. The verdict is read from
-    the order-k jet of q alone: C^k with a nonzero slope makes q^-1 C^k by
-    the inverse function theorem. It stays exact whenever q composes
-    exactly; numeric jets that cannot settle the order give INDETERMINATE.
+    They agree exactly when q = g o h^-1 lies in the subgroup D: when h is in D the answer
+    is whether g is, and vice versa. Only when neither settles it is q built (_transition)
+    and its order-k jet read; numeric jets that cannot settle the order give INDETERMINATE.
     """
-    return smoothness_at_zero(compose(g, invert(h)), k).verdict
+    vh, vg = smoothness_at_zero(h, k).verdict, smoothness_at_zero(g, k).verdict
+    if Tri.TRUE in (vh, vg) and Tri.INDETERMINATE not in (vh, vg):
+        return vg if vh is Tri.TRUE else vh
+    return smoothness_at_zero(_transition(h, g, k), k).verdict
+
+
+def _transition(h: GermLike, g: GermLike, k) -> GermLike:
+    """q = g o h^-1, exact through order K = _normalize_order(k)[0] where the jets allow.
+
+    They do when h and g have rational terms through t^K of at most 2^14/K bits each (so
+    the jets take under a second) and each side of h has a t^1 term. Each side of q then
+    solves Q(|h_side(t)|) = g_side(t) through t^K, routed as in compose, by undetermined
+    coefficients (series reversion: Brent & Kung, J. ACM 25(4), 1978). Powers past K are
+    dropped; a side whose jet vanishes keeps g's leading term. Else compose(g, invert(h)).
+    """
+    K = _normalize_order(k)[0]
+    if not (isinstance(h, Germ) and isinstance(g, Germ)
+            and h.neg.leading.exponent == 1 == h.pos.leading.exponent
+            and all(is_integral(t.exponent) and not isinstance(t.coeff, float)
+                    and K * (t.coeff.numerator * t.coeff.denominator).bit_length() <= 2 ** 14
+                    for s in (h.neg, h.pos, g.neg, g.pos) for t in s.terms if t.exponent <= K)):
+        return compose(g, invert(h))
+    sides = {}
+    for hs, gs in ((h.neg, g.neg), (h.pos, g.pos)):
+        below = (hs is h.neg) == (h.orientation == PRESERVING)  # h_side < 0: q's neg side
+        hc, gc = ({t.exponent: t.coeff for t in side.terms} for side in (hs, gs))
+        p = [(-1 if below else 1) * hc.get(n, 0) for n in range(K + 1)]
+        rest = [gc.get(n, 0) for n in range(K + 1)]
+        power, terms = p, []  # power = |h_side|^n through t^K, from a_1^n t^n
+        for n in range(1, K + 1):
+            b = rest[n] / power[n]
+            if b:
+                terms.append((b, n))
+                rest = [r - b * c for r, c in zip(rest, power)]
+            power = [sum(power[i] * p[j - i] for i in range(j)) for j in range(K + 1)]
+        sides[below] = terms or [gs.leading]  # past t^K, with q's sign there
+    return Germ.from_sides(sides[True], sides[False])
 
 
 # ---------------------------------------------------------------------------

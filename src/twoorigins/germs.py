@@ -26,7 +26,6 @@ Coefficients and exponents are Fractions whenever the inputs allow
 from __future__ import annotations
 
 import enum
-import functools
 import math
 from fractions import Fraction
 from typing import Callable, Union
@@ -51,12 +50,6 @@ _RICH_STEPS = _numerics.halving(2.0 ** -4, 13)
 
 #: Relative Cauchy threshold deciding numeric derivative existence.
 _RICH_REL = 1e-3
-
-#: Solved points one numeric inverse remembers. One same_structure query at
-#: _numerics.ORDER_CAP reads its inverse at 60 distinct points: the 32
-#: sample points of NumericGerm validation and the Richardson nodes i*h,
-#: i = 1..4, h in _RICH_STEPS, of both sides.
-_SOLVE_MEMO = 64
 
 
 class _Nonexistent:
@@ -216,9 +209,7 @@ class NumericGerm(Record):
     power sums. The callable is the primary representation (it is an exact
     pointwise composition of closed forms); construction samples both sides
     to validate monotonicity and the limit-to-0 invariant. provenance records
-    how the object arose. The callable of a numeric inverse remembers its
-    answers at the last _SOLVE_MEMO points it was asked, and its solves
-    share one bracket ladder per side (see _numeric_invert).
+    how the object arose.
     """
 
     fn: Callable[[float], float]
@@ -557,14 +548,7 @@ def invert(h: GermLike) -> GermLike:
 def _numeric_invert(h: GermLike) -> NumericGerm:
     hf = _float_fn(h)
     preserving = h.orientation == PRESERVING
-    # The bracket ladder h(sgn * 2^(m-30)), m = 0, 1, ..., does not depend on
-    # y: each side's rungs are evaluated once, the first time a solve climbs
-    # to them, and every later solve reads them from the list.
-    ladders = ([], [])
 
-    # A solve is pure in y, so its result is remembered; a raise is not, and
-    # repeats on every call.
-    @functools.lru_cache(maxsize=_SOLVE_MEMO)
     def solve(y: float) -> float:
         if y == 0.0:
             return 0.0
@@ -574,14 +558,10 @@ def _numeric_invert(h: GermLike) -> NumericGerm:
         x_positive = (y > 0) == preserving
         sgn = 1.0 if x_positive else -1.0
         up = y > 0
-        rungs = ladders[x_positive]
         lo, hi = 0.0, 2.0 ** -30
         prev_mag = 0.0
-        m = 0
         while True:
-            if m == len(rungs):
-                rungs.append(hf(sgn * hi))
-            v = rungs[m]
+            v = hf(sgn * hi)
             if (v >= y) if up else (v <= y):
                 break
             if math.copysign(1.0, v) != math.copysign(1.0, y) or abs(v) < prev_mag:
@@ -590,7 +570,6 @@ def _numeric_invert(h: GermLike) -> NumericGerm:
                 raise DomainError(f"value {y} is not reached by the monotone branch")
             prev_mag = abs(v)
             lo, hi = hi, hi * 2.0
-            m += 1
             if hi > 2.0 ** 60:
                 raise DomainError("inverse bracket search escaped to infinity")
         # Bisect until lo and hi are adjacent floats, when mid is one of

@@ -14,7 +14,9 @@ files' directory shown as <dir>, or as the exception it raised. The
 numeric-inverse block inverts the six pool cubics of each of those seeds
 and 20 fixed s (x + c sin x) callables, and reads each inverse at
 INVERSE_POINTS in order and then reversed, and a fresh one reversed; it
-ends with the error text of a germ that folds. The composition block
+ends with a germ that folds: the error text of its inverse and the
+outcome of dline.same_structure of the fold with itself at k = 1, 2, 3
+(the verdict, or the error text). The composition block
 composes every ordered pair of COMPOSED, germs the benchmark never draws.
 The rejected-group block records the error text of one-entry changes of
 the benchmark's groups and of two degenerate 64-element tables.
@@ -89,12 +91,12 @@ def _sine(s: float, c: float):
                        germs.PRESERVING if s > 0 else germs.REVERSING, "corpus callable")
 
 
-def _raised(fn, *args) -> str:
+def _raised(fn, *args, shown=lambda out: "returned") -> str:
     try:
-        fn(*args)
+        out = fn(*args)
     except Exception as exc:  # the error text is the result
         return f"{type(exc).__name__}: {exc}"
-    return "returned"
+    return shown(out)
 
 
 def _pool(seed: int) -> list:
@@ -117,8 +119,8 @@ def inverse_cases() -> list:
         cases.append({"inverse": name, "orientation": inverse.orientation,
                       "values": [repr(v) for v in reads]})
     fold = germs.poly_germ({1: 1, 2: 10})
-    cases.append({"inverse": "fold", "raised": [_raised(germs.invert, fold)] + [
-        _raised(dline.same_structure, fold, fold, k) for k in (1, 2, 3)]})
+    cases.append({"inverse": "fold", "raised": _raised(germs.invert, fold), "same_structure": [
+        _raised(dline.same_structure, fold, fold, k, shown=repr) for k in (1, 2, 3)]})
     return cases
 
 

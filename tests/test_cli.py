@@ -2,6 +2,7 @@
 
 import ast
 import json
+import random
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -226,16 +227,39 @@ def test_composition_past_the_term_cap_answers_in_bounded_time(write, capsys):
     assert "numerically" in capsys.readouterr().err
 
 
+def _long_germ_text(n):
+    return ('{"neg": [{"c": -1, "e": 1}], "orientation": "preserving", "pos": ['
+            + ", ".join(f'{{"c": 1, "e": {k}}}' for k in range(1, n + 1)) + "]}")
+
+
 def test_germ_side_past_the_term_cap_is_refused_before_its_numbers(tmp_path, capsys):
-    # refused by its term count, before a million numbers are read
+    # refused by its term count, before 10^5 numbers are read
     path = tmp_path / "h.json"
-    path.write_text('{"neg": [{"c": -1, "e": 1}], "orientation": "preserving", "pos": ['
-                    + ", ".join(f'{{"c": 1, "e": {k}}}' for k in range(1, 10 ** 6 + 1))
-                    + "]}")
+    path.write_text(_long_germ_text(10 ** 5))
+    assert path.stat().st_size <= cli._MAX_FILE_CHARS
     start = time.perf_counter()
     assert run(["germ", "compose", "--g", str(path), "--h", str(path)]) == EXIT_INPUT
     assert time.perf_counter() - start < 5.0
     assert "more than 512 terms" in capsys.readouterr().err
+
+
+def test_file_past_the_size_bound_is_refused_before_it_is_parsed(tmp_path, monkeypatch, capsys):
+    # a germ of 10^6 terms is 23 MB of text, which json.loads would hold in
+    # about 140 MB of objects
+    path = tmp_path / "h.json"
+    path.write_text(_long_germ_text(10 ** 6))
+    assert path.stat().st_size > cli._MAX_FILE_CHARS
+
+    def no_parse(text):
+        raise AssertionError("json parsed a file past the bound")
+
+    monkeypatch.setattr(cli.json, "loads", no_parse)
+    assert run(["germ", "invert", "--h", str(path)]) == EXIT_INPUT
+    assert f"more than {cli._MAX_FILE_CHARS} characters" in capsys.readouterr().err
+    # the bound counts characters: a file of exactly that many is parsed
+    path.write_text(" " * (cli._MAX_FILE_CHARS - 2) + "{}")
+    with pytest.raises(AssertionError, match="json parsed"):
+        run(["germ", "invert", "--h", str(path)])
 
 
 @pytest.mark.parametrize("text", ["2", "0.5", "1/3", "1e3", " -1_0.5E+1_0 ", "1e4299"])
@@ -380,6 +404,76 @@ def test_structure_same_fold_witness(write, capsys):
     assert "same C^3 structure: true" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("k", ["1", "2", "3"])
+def test_structure_same_on_a_fold_is_true(write, k, capsys):
+    # x + 10x^2 folds back at -1/20, so it has no inverse on [-1/4, 0]; it is
+    # in D, and so is q = h o h^-1, read from exact jets
+    fold = write("fold.json", germ_to_json(poly_germ({1: 1, 2: 10})))
+    assert run(["structure", "same", "--h", fold, "--g", fold, "--k", k, "--json"]) == EXIT_OK
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "true" and payload["max_order"] == int(k)
+    assert payload["obstruction"] is None
+
+
+def test_structure_same_at_a_small_scale_is_true(write, capsys):
+    # g = 10^-7 h: both in D, so the structures agree at any scale
+    h = write("h.json", germ_to_json(poly_germ({1: 1, 2: 1})))
+    g = write("g.json", germ_to_json(poly_germ({1: "1e-7", 2: "1e-7"})))
+    assert run(["structure", "same", "--h", h, "--g", g, "--k", "2"]) == EXIT_OK
+    assert "same C^2 structure: true" in capsys.readouterr().out
+
+
+def test_structure_same_decided_by_the_group_answers_without_q(write, capsys):
+    # the fold is in D and g = x + |x|^(3/2) sign(x) is not C^2, so the answer
+    # is FALSE either way round; neither q nor q^-1 can be built, as the fold
+    # has no inverse and turns back under g^-1, so their reports are null
+    fold = write("fold.json", germ_to_json(poly_germ({1: 1, 2: 10})))
+    g = write("g.json", {
+        "neg": [{"c": -1, "e": 1}, {"c": -1, "e": "3/2"}],
+        "pos": [{"c": 1, "e": 1}, {"c": 1, "e": "3/2"}],
+        "orientation": "preserving",
+    })
+    for h, g in ((fold, g), (g, fold)):
+        assert run(["structure", "same", "--h", h, "--g", g, "--k", "2", "--json"]) == EXIT_NEGATIVE
+        payload = assert_canonical_json(capsys.readouterr().out)
+        assert payload == {"same": "false", "k": 2, "max_order": None, "obstruction": None,
+                           "inverse_obstruction": None}
+
+
+def test_structure_same_answers_when_a_report_is_too_long_to_write(write, capsys):
+    # h is in D and g is not C^2, so the answer is FALSE; q's second
+    # derivatives are near 10^7200, beyond floats and Python's digit limit,
+    # so its report is left out
+    tiny = "1/1" + "0" * 2400
+    h = write("h.json", {"neg": [{"c": "-" + tiny, "e": 1}, {"c": 1, "e": 2}],
+                         "pos": [{"c": tiny, "e": 1}, {"c": 1, "e": 2}],
+                         "orientation": "preserving"})
+    g = write("g.json", {"neg": [{"c": -1, "e": 1}, {"c": 1, "e": 2}],
+                         "pos": [{"c": 1, "e": 1}, {"c": 2, "e": 2}], "orientation": "preserving"})
+    assert run(["structure", "same", "--h", h, "--g", g, "--k", "2", "--json"]) == EXIT_NEGATIVE
+    payload = assert_canonical_json(capsys.readouterr().out)
+    assert payload["same"] == "false"
+    assert payload["max_order"] is None and payload["obstruction"] is None
+
+
+def test_structure_same_with_long_coefficients_answers_in_bounded_time(write, capsys):
+    # twelve terms a side with 4000-digit numerators and denominators: exact
+    # jets of q through order 12 would take minutes, so q is numeric
+    rnd = random.Random(5)
+
+    def side(sign):
+        return [{"c": f"{sign * rnd.randrange(10 ** 3999, 10 ** 4000)}/"
+                      f"{rnd.randrange(10 ** 3999, 10 ** 4000)}", "e": m} for m in range(1, 13)]
+
+    h, g = (write(f"{name}.json", {"neg": side(-1), "pos": side(1), "orientation": "preserving"})
+            for name in "hg")
+    start = time.perf_counter()
+    code = run(["structure", "same", "--h", h, "--g", g, "--k", "12", "--json"])
+    assert time.perf_counter() - start < 5.0
+    assert code in (EXIT_NEGATIVE, EXIT_NUMERIC)
+    assert assert_canonical_json(capsys.readouterr().out)["same"] in ("false", "indeterminate")
+
+
 def test_structure_same_with_a_cube_root_is_false(write, capsys):
     # g o h^-1 behaves like x^(1/3) at 0: a numeric germ with no first
     # derivative there, a real negative answer and not an input error
@@ -410,8 +504,9 @@ def test_structure_same_with_a_steep_inverse_answers(write, capsys):
 
 
 def test_structure_same_decided_with_a_coefficient_no_float_holds(write, capsys):
-    # FALSE at order 1; the optional inverse report of q = g o w_2^-1 is
-    # numeric, and q has a coefficient no float holds, so it is left out
+    # FALSE at order 1, as w_2 is not in D and g is; q^-1 = w_2 o g^-1 is
+    # read from exact jets, so its slopes are reported although g has a
+    # coefficient no float holds
     g = write("g.json", {
         "neg": [{"c": -1, "e": 1}, {"c": "1e400", "e": 2}],
         "pos": [{"c": 1, "e": 1}, {"c": "1e400", "e": 2}],
@@ -421,7 +516,7 @@ def test_structure_same_decided_with_a_coefficient_no_float_holds(write, capsys)
     assert run(["structure", "same", "--k", "2", "--h", h, "--g", g, "--json"]) == EXIT_NEGATIVE
     payload = assert_canonical_json(capsys.readouterr().out)
     assert payload["same"] == "false" and payload["max_order"] == 0
-    assert payload["inverse_obstruction"] is None
+    assert payload["inverse_obstruction"] == {"order": 1, "neg": 1.0, "pos": 2.0}
 
 
 def test_structure_same_human_readout(write, capsys):

@@ -2,9 +2,14 @@
 
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from twoorigins import dline, germs
 from twoorigins.dline import (
     EXCHANGE,
     FIX,
@@ -147,6 +152,105 @@ def test_same_structure_fold_witness():
     p = poly_germ({1: 1, 2: 1, 3: F(1, 3)})
     q = poly_germ({1: 1, 2: 1})
     assert same_structure(p, compose(q, p), 3) is Tri.TRUE
+
+
+def test_same_structure_on_a_fold_is_true():
+    # x + 10x^2 folds back at -1/20, so no inverse reaches its sample at
+    # -1/4; the fold is in D, and so is q = h o h^-1
+    fold = poly_germ({1: 1, 2: 10})
+    for k in (1, 2, 3):
+        assert same_structure(fold, fold, k) is Tri.TRUE
+    # at every order too: both germs are in D
+    h = poly_germ({1: 1, 2: 1})
+    assert same_structure(h, h, None) is Tri.TRUE
+
+
+def _signed_poly(draw, lead_sign, exps, K):
+    """Terms of one side: exps with nonzero rational coefficients, the
+    first carrying lead_sign, and maybe one fractional exponent past them
+    and past K."""
+    coeff = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 5))
+    terms = [(draw(coeff), F(e)) for e in exps]
+    if draw(st.booleans()):
+        terms.append((draw(coeff), max(K, *exps) + F(1, draw(st.sampled_from([2, 3])))))
+    terms[0] = (lead_sign * abs(terms[0][0]), terms[0][1])
+    return terms
+
+
+@st.composite
+def transition_cases(draw):
+    """(h, g, K): h with a t^1 term on each side, integer exponents through
+    K and either orientation; g likewise, with or without a t^1 term."""
+    K = draw(st.integers(1, 12))
+    sides = {}
+    for name, need_slope in (("h", True), ("g", False)):
+        sign = draw(st.sampled_from([1, -1]))  # 1: preserving
+        pair = []
+        for lead_sign in (-sign, sign):
+            lows = draw(st.lists(st.integers(2, K), max_size=2, unique=True)) if K > 1 else []
+            if not need_slope and not draw(st.booleans()):
+                exps = sorted(lows) or [K + 1]
+            else:
+                exps = [1] + sorted(lows)
+            pair.append(_signed_poly(draw, lead_sign, exps, K))
+        sides[name] = Germ.from_sides(*pair)
+    return sides["h"], sides["g"], K
+
+
+def _reversion_reference(h_side, g_side, K):
+    """b_1..b_K with sum b_j |h_side(t)|^j = g_side(t) + O(t^(K+1)), solved
+    for the b_j by sympy from the coefficients of t^1..t^K."""
+    t = sympy.Symbol("t")
+    bs = sympy.symbols(f"b1:{K + 1}")
+    sign = 1 if h_side.leading.coeff > 0 else -1
+
+    def poly(side, scale):
+        return sum(scale * sympy.Rational(c.coeff) * t ** int(c.exponent)
+                   for c in side.terms if c.exponent <= K)
+
+    p, g = poly(h_side, sign), poly(g_side, 1)
+    lhs = sympy.expand(sum(b * p ** j for j, b in enumerate(bs, 1)) - g)
+    (solution,) = sympy.solve([lhs.coeff(t, n) for n in range(1, K + 1)], bs, dict=True)
+    return [F(str(solution[b])) for b in bs]
+
+
+@given(transition_cases())
+@settings(max_examples=40, deadline=None)
+def test_transition_jets_match_sympy_reversion(case):
+    h, g, K = case
+    q = dline._transition(h, g, K)
+    assert isinstance(q, Germ)
+    assert q.orientation == ("preserving" if h.orientation == g.orientation else "reversing")
+    for h_side, g_side in ((h.neg, g.neg), (h.pos, g.pos)):
+        # a side of h that lands below 0 is where q's neg side is read
+        q_side = q.neg if h_side.leading.coeff < 0 else q.pos
+        want = {j: b for j, b in enumerate(_reversion_reference(h_side, g_side, K), 1) if b}
+        assert {int(t.exponent): t.coeff for t in q_side.terms if t.exponent <= K} == want
+        if not want:
+            assert q_side.terms == (g_side.leading,)
+
+
+@st.composite
+def polynomial_germs(draw, slope=True):
+    """w_a o p for a polynomial p with a nonzero slope, or with none."""
+    lead = 1 if slope else 3
+    p = {lead: draw(st.sampled_from([F(-2), F(-1, 3), F(1, 2), F(3)]))}
+    p.update({m: F(draw(st.integers(-5, 5)), draw(st.integers(1, 4)))
+              for m in draw(st.lists(st.integers(lead + 1, 6), max_size=3))})
+    return compose(make_wa(draw(st.sampled_from([F(1), F(2), F(1, 3)]))), poly_germ(p))
+
+
+@given(polynomial_germs(), st.one_of(polynomial_germs(), polynomial_germs(slope=False)),
+       st.sampled_from([1, 2, 3, 5, None]))
+@settings(max_examples=60, deadline=None)
+def test_same_structure_on_exact_polynomials_never_inverts_numerically(h, g, k):
+    # q = g o h^-1 has exact jets whenever h has a slope; h o g^-1 needs the
+    # series of a fractional power when g has none
+    with mock.patch.object(germs, "_numeric_invert",
+                           side_effect=AssertionError("a numeric inverse was built")):
+        assert same_structure(h, g, k) is not Tri.INDETERMINATE
+        if g.pos.leading.exponent == 1:
+            assert same_structure(g, h, k) is not Tri.INDETERMINATE
 
 
 # -- building diffeomorphisms -------------------------------------------------
