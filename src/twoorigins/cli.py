@@ -15,23 +15,22 @@ Exit codes are part of the interface:
 * 1 - a definite negative mathematical answer (the report is still valid)
 * 2 - input error: malformed JSON, unknown names, bad arguments
 * 3 - numeric indeterminacy: the computation could not settle the question
+
+Each subcommand first imports the layers among cosets, dline and germs that
+it calls (`_bind`), so a process compiles only those; errors, realnum and
+join are imported here.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import sys
 from fractions import Fraction
 
-from .cosets import (CELLS, FiniteGroup, classify_wa_pair, double_cosets,
-                     intersection_type, pm_double_cosets)
-from .dline import (_transition, classification_to_json, compose_diffeo, diffeo_classes, psi,
-                    same_structure)
 from .errors import (DomainError, GlueInfeasible, IncompatiblePresentations,
                      NotJoinable, TwoOriginsError)
-from .germs import (NONEXISTENT, Germ, NumericGerm, Tri, compose, germ_from_json,
-                    germ_match, germ_to_json, invert, jet_of, smoothness_at_zero)
 from .join import (NumericDiffeo, chain_from_json, collapse_chain,
                    collapse_to_json, verify_ck_numeric)
 from .realnum import parse_fraction, real_json, real_sqrt
@@ -42,6 +41,36 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 #: Largest input file read, in characters; json.loads holds a germ this long in about 25 MB.
 _MAX_FILE_CHARS = 4 * 2 ** 20
+
+#: The names the subcommands read from the layers they load on demand, by
+#: module. classify_wa_pair is here for the benchmark's traced run, which
+#: wraps it by name on this module, though no subcommand calls it.
+_LAYER_NAMES = {
+    "cosets": ("CELLS", "FiniteGroup", "classify_wa_pair", "double_cosets", "intersection_type",
+               "pm_double_cosets"),
+    "dline": ("_transition", "classification_to_json", "compose_diffeo", "diffeo_classes", "psi",
+              "same_structure"),
+    "germs": ("NONEXISTENT", "Germ", "NumericGerm", "Tri", "compose", "germ_from_json",
+              "germ_match", "germ_to_json", "invert", "jet_of", "smoothness_at_zero"),
+}
+
+
+def _bind(*modules) -> None:
+    """Import these layers and bind their _LAYER_NAMES here; a name already
+    bound, by an earlier call or by a wrapper set on this module, stays."""
+    for module in modules:
+        layer = importlib.import_module(f".{module}", __package__)
+        for name in _LAYER_NAMES[module]:
+            globals().setdefault(name, getattr(layer, name))
+
+
+def __getattr__(name):
+    # getattr(cli, name) and hasattr see the _LAYER_NAMES before any subcommand ran
+    for module, names in _LAYER_NAMES.items():
+        if name in names:
+            _bind(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def _print_json(payload) -> None:
@@ -106,6 +135,7 @@ def _germ_text(g: Germ) -> str:
 # subcommands
 
 def _cmd_cosets(args) -> int:
+    _bind("cosets")
     group, subgroups = _parse_file(args.group, FiniteGroup.from_json)
 
     def sub(name):
@@ -133,6 +163,7 @@ def _cmd_cosets(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    _bind("cosets", "dline")
     cls_, witnesses = diffeo_classes(args.a, args.b, args.k)
     itype = intersection_type(args.a, args.b, args.k)
     if args.json:
@@ -158,6 +189,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_germ(args) -> int:
+    _bind("germs")
     if args.germ_op != "jet":
         if args.germ_op == "compose":
             g, h = _parse_file(args.g, germ_from_json), _parse_file(args.h, germ_from_json)
@@ -203,6 +235,7 @@ def _transition_report(h, g, k):
 
 def _cmd_structure(args) -> int:
     """same_structure's verdict, with dline._transition's reports of g o h^-1 and h o g^-1."""
+    _bind("dline", "germs")
     h = _parse_file(args.h, germ_from_json)
     g = _parse_file(args.g, germ_from_json)
     verdict = same_structure(h, g, args.k)
@@ -233,6 +266,7 @@ def _cmd_structure(args) -> int:
 
 
 def _cmd_psi(args) -> int:
+    _bind("dline", "germs")
     d = psi(args.a)
     payload = {
         "a": real_json(args.a),

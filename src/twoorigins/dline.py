@@ -11,7 +11,6 @@ both chart presentations certified smooth at construction time.
 from __future__ import annotations
 
 from ._record import Record, setfield
-from .cosets import CELLS, classify_wa_pair
 from .errors import DomainError, IncompatiblePresentations, InvalidAtlas
 from .germs import (
     Germ,
@@ -427,14 +426,20 @@ def diffeo_classes(a, b, k: int = 1):
     """Emptiness pattern of the four cells plus a witness for each nonempty one.
 
     Returns (classification, witnesses) where witnesses maps cell names to
-    DiffeoL objects certified at order k.
+    DiffeoL objects certified at order k. cosets is imported here and in
+    classification_to_json, its only users, so that the psi and structure
+    subcommands do not load it.
     """
+    from .cosets import classify_wa_pair
+
     cls_ = classify_wa_pair(a, b, k)
     return cls_, _wa_witnesses(cls_, k)
 
 
 def classification_to_json(cls_, witnesses: dict[str, DiffeoL]) -> dict:
     """The cells and the witnesses' restrictions (see germ_to_json)."""
+    from .cosets import CELLS
+
     wit = []
     for cell in CELLS:
         if cell in witnesses:

@@ -100,10 +100,10 @@ class PowerTerm(Record):
 
     def __init__(self, coeff, exponent):
         c = coeff if isinstance(coeff, (float, Fraction)) else to_real(coeff)
-        e = to_real(exponent)
+        e = exponent if isinstance(exponent, Fraction) else to_real(exponent)
         if c == 0:
             raise DomainError("power term with zero coefficient")
-        if e <= 0:
+        if e.numerator <= 0:  # a Fraction's denominator is positive
             raise DomainError(f"power term exponent must be positive, got {e}")
         setfield(self, "coeff", c)
         setfield(self, "exponent", e)
@@ -128,7 +128,9 @@ class SideExpansion(Record):
         if not terms:
             raise DomainError("side expansion needs at least one term")
         exps = [t.exponent for t in terms]
-        if any(e2 <= e1 for e1, e2 in zip(exps, exps[1:])):
+        # e2 <= e1 on integers, without Fraction's comparison dispatch
+        if any(e2.numerator * e1.denominator <= e1.numerator * e2.denominator
+               for e1, e2 in zip(exps, exps[1:])):
             raise DomainError(f"exponents must strictly increase, got {exps}")
         setfield(self, "terms", terms)
 

@@ -47,6 +47,7 @@ from twoorigins.germs import (
 from twoorigins.realnum import real_eq, real_json, real_pow, real_sqrt, to_real
 
 import composition_reference
+import term_rules_reference
 
 # Dyadic rationals survive the float round trip in JSON exactly.
 dyadics = st.integers(-64, 64).flatmap(
@@ -113,6 +114,32 @@ def test_poly_germ_is_two_sided_polynomial():
     h = poly_germ({1: 1, 3: F(-1, 2)})
     for x in SMALL_XS:
         assert evaluate(h, x) == x + F(-1, 2) * x**3
+
+
+# zero, negative, float, string and repeated values, so equal and decreasing
+# exponent pairs come up often
+_term_values = st.one_of(
+    st.sampled_from([0, 0.0, F(0), 1, -1, 2, F(1, 2), F(-1, 3), 0.5, -2.5, "3/2", "-1"]),
+    st.integers(-3, 5),
+    st.fractions(min_value=-2, max_value=4, max_denominator=6),
+    st.floats(min_value=-4, max_value=4, allow_nan=False, allow_infinity=False),
+)
+
+
+@given(st.lists(st.tuples(_term_values, _term_values), max_size=5))
+@settings(max_examples=400)
+def test_side_checks_match_the_fraction_comparison_rules(terms):
+    try:
+        want = term_rules_reference.side_terms(terms)
+    except DomainError as exc:
+        with pytest.raises(DomainError) as got:
+            SideExpansion(terms)
+        assert str(got.value) == str(exc)
+        return
+    side = SideExpansion(terms)
+    got = [(t.coeff, t.exponent) for t in side.terms]
+    assert got == want
+    assert [tuple(map(type, pair)) for pair in got] == [tuple(map(type, pair)) for pair in want]
 
 
 @given(tame_germs(), tame_germs())

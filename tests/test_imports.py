@@ -1,9 +1,12 @@
 """Every name a library module imports is used by that module, every
 private helper is named somewhere in the library, the library needs nothing
 at run time beyond the standard library and numpy, only the subcommands
-that glue or certify load numpy, and no module loads dataclasses."""
+that glue or certify load numpy, no module loads dataclasses, each CLI
+subcommand loads only the layers it calls and binds every layer name it
+reads, and `import twoorigins` loads no submodule."""
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -16,10 +19,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "twoorigins"
 
 #: module -> imported names kept although the module never reads them, each
 #: with its reason.
-KEPT = {
-    # the benchmark's traced CLI wraps it by name on the cli module
-    "cli": {"classify_wa_pair"},
-}
+KEPT: dict[str, set] = {}
 
 
 def unused_imports(source: str) -> set:
@@ -200,3 +200,152 @@ def test_cli_imports_join_eagerly(tmp_path):
     needs a benchmark change that drops that probe first."""
     script = "import json, sys\nimport twoorigins.cli\nprint(json.dumps('twoorigins.join' in sys.modules))\n"
     assert fresh_run(script, tmp_path) is True
+
+
+#: twoorigins modules every CLI process loads: the package, cli and what
+#: cli imports at the top (join stays eager, see test_cli_imports_join_eagerly)
+CLI_CORE = {"twoorigins", "twoorigins.cli", "twoorigins.errors", "twoorigins.realnum",
+            "twoorigins.join", "twoorigins._numerics", "twoorigins._record"}
+
+
+def write_cli_inputs(directory: Path) -> None:
+    wa = {"neg": [{"c": -1, "e": 1}], "orientation": "preserving"}
+    (directory / "w2.json").write_text(json.dumps(dict(wa, pos=[{"c": 2, "e": 1}])))
+    (directory / "w3.json").write_text(json.dumps(dict(wa, pos=[{"c": 3, "e": 1}])))
+    (directory / "z2.json").write_text(json.dumps({
+        "name": "Z2", "elements": ["e", "s"], "table": [[0, 1], [1, 0]],
+        "subgroups": {"T": ["e"], "A": ["e", "s"]},
+    }))
+    xs = [1.0 + i / 32 for i in range(33)]
+    samples = [[x, x + 0.4 * (x - 1.0) * (2.0 - x)] for x in xs]
+    (directory / "map.json").write_text(json.dumps({"samples": samples}))
+    (directory / "spec.json").write_text(json.dumps({
+        "charts": [{"label": "u", "image": [0.0, 2.0]}, {"label": "v", "image": [1.0, 3.0]}],
+        "transitions": [{"between": [0, 1], "samples": samples}],
+        "k": 1, "tol": 1e-3,
+    }))
+
+
+@pytest.mark.parametrize("as_json", [False, True], ids=["text", "json"])
+@pytest.mark.parametrize("argv, layers", [
+    pytest.param(["cosets", "z2.json", "--C", "T", "--D", "A"], {"cosets"}, id="cosets"),
+    pytest.param(["cosets", "z2.json", "--D", "A", "--pm"], {"cosets"}, id="cosets-pm"),
+    pytest.param(["germ", "compose", "--g", "w2.json", "--h", "w3.json"], {"germs"},
+                 id="germ-compose"),
+    pytest.param(["germ", "jet", "--h", "w3.json", "--order", "2"], {"germs"}, id="germ-jet"),
+    pytest.param(["psi", "--a", "4", "--selfcheck"], {"germs", "dline"}, id="psi"),
+    pytest.param(["structure", "same", "--h", "w2.json", "--g", "w3.json"], {"germs", "dline"},
+                 id="structure"),
+    pytest.param(["classify", "--a", "2", "--b", "3"], {"germs", "dline", "cosets"},
+                 id="classify"),
+    pytest.param(["join", "spec.json"], set(), id="join"),
+    pytest.param(["verify", "map.json", "--k", "1", "--tol", "1e-3"], set(), id="verify"),
+])
+def test_each_subcommand_loads_only_its_layers(tmp_path, argv, layers, as_json):
+    write_cli_inputs(tmp_path)
+    argv = argv + ["--json"] * as_json
+    script = ("import json, sys\nfrom twoorigins.cli import run\n"
+              f"code = run({argv!r})\n"
+              "print(json.dumps([code, sorted(m for m in sys.modules\n"
+              "                               if m.split('.')[0] == 'twoorigins')]))\n")
+    code, loaded = fresh_run(script, tmp_path)
+    assert code in (0, 1)
+    assert set(loaded) == CLI_CORE | {f"twoorigins.{m}" for m in layers}
+
+
+def test_package_import_loads_no_submodule_and_lists_its_names(tmp_path):
+    script = ("import json, sys\nimport twoorigins\nnames = dir(twoorigins)\n"
+              "print(json.dumps([sorted(m for m in sys.modules if m.startswith('twoorigins.')),\n"
+              "                  sorted(set(twoorigins.__all__) - set(names)),\n"
+              "                  len(twoorigins.__all__)]))\n")
+    # 95: the public names of the six layer modules that __init__ imported eagerly
+    assert fresh_run(script, tmp_path) == [[], [], 95]
+
+
+def top_level_names(source: str) -> set:
+    """Names a module binds at top level by def, class or assignment."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return names
+
+
+def test_star_import_gives_the_defining_modules_objects():
+    import twoorigins
+
+    namespace = {}
+    exec("from twoorigins import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(twoorigins.__all__)
+    defined_in = {}
+    for path in SRC.glob("*.py"):
+        if path.stem != "__init__":
+            for name in top_level_names(path.read_text(encoding="utf-8")):
+                defined_in.setdefault(name, []).append(path.stem)
+    for name in twoorigins.__all__:
+        (module,) = defined_in[name]
+        assert namespace[name] is getattr(importlib.import_module(f"twoorigins.{module}"), name)
+
+
+def layer_binds(source: str, table: dict) -> dict:
+    """For each _cmd_* function of a CLI source: the modules its first
+    statement (after a docstring) passes to _bind, and the modules of the
+    table names it reads itself or through the module-level functions it
+    calls, directly or not."""
+    funcs = {node.name: node for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef)}
+    module_of = {name: module for module, names in table.items() for name in names}
+    out = {}
+    for cmd in (name for name in funcs if name.startswith("_cmd_")):
+        needed, seen, stack = set(), set(), [cmd]
+        while stack:
+            fn = stack.pop()
+            if fn in seen:
+                continue
+            seen.add(fn)
+            for node in ast.walk(funcs[fn]):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    if node.id in funcs:
+                        stack.append(node.id)
+                    elif node.id in module_of:
+                        needed.add(module_of[node.id])
+        body = funcs[cmd].body
+        if ast.get_docstring(funcs[cmd]) is not None:
+            body = body[1:]
+        first = body[0]
+        bound = set()
+        if (isinstance(first, ast.Expr) and isinstance(first.value, ast.Call)
+                and getattr(first.value.func, "id", None) == "_bind"):
+            bound = {ast.literal_eval(arg) for arg in first.value.args}
+        out[cmd] = (bound, needed)
+    return out
+
+
+def test_each_subcommand_binds_the_layers_it_reads():
+    # in-process tests share one cli module, where a missing bind hides
+    # behind a name an earlier test bound
+    from twoorigins import cli
+
+    binds = layer_binds((SRC / "cli.py").read_text(encoding="utf-8"), cli._LAYER_NAMES)
+    assert len(binds) == 7
+    assert {cmd: bound for cmd, (bound, _) in binds.items()} == \
+        {cmd: needed for cmd, (_, needed) in binds.items()}
+
+
+def test_cli_layer_names_exist_on_their_modules():
+    from twoorigins import cli
+
+    assert [(module, name) for module, names in cli._LAYER_NAMES.items() for name in names
+            if not hasattr(importlib.import_module(f"twoorigins.{module}"), name)] == []
+
+
+def test_missing_layer_binds_are_found():
+    source = ("def _helper():\n    return g()\n\n"
+              "def _cmd_a(args):\n    \"\"\"doc\"\"\"\n    _bind(\"m\")\n    return f() + _helper()\n\n"
+              "def _cmd_b(args):\n    x = f\n    return x()\n")
+    assert layer_binds(source, {"m": ("f",), "n": ("g",)}) == {
+        "_cmd_a": ({"m"}, {"m", "n"}), "_cmd_b": (set(), {"m"})}
