@@ -14,7 +14,8 @@ Exit codes are part of the interface:
 * 0 - success / affirmative answer
 * 1 - a definite negative mathematical answer (the report is still valid)
 * 2 - input error: malformed JSON, unknown names, bad arguments
-* 3 - numeric indeterminacy: the computation could not settle the question
+* 3 - numeric indeterminacy: the computation could not settle the question,
+  or an internal error, reported as one line with no traceback
 
 Each subcommand first imports the layers among cosets, dline and germs that
 it calls (`_bind`), so a process compiles only those; errors, realnum and
@@ -447,6 +448,9 @@ def run(argv) -> int:
     except TwoOriginsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:  # a fault of the program, not an answer: never exit 1
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 def main() -> None:

@@ -152,13 +152,22 @@ _PANEL_OFFSETS = tuple(i / 8.0 for i in range(9))
 _PANEL_WEIGHTS = tuple(w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0))
 
 
+def _panel_nodes(left: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """The 9 panel nodes of each cell [left[i], left[i] + widths[i]], flat."""
+    return (left[:, None] + widths[:, None] * np.array(_PANEL_OFFSETS)).ravel()
+
+
+def _panel_sums(rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Each cell's integral from the values at its 9 panel nodes, one row a cell."""
+    return (rows.reshape(-1, 9) @ np.array(_PANEL_WEIGHTS)) * widths
+
+
 def _panel_integrals(left: np.ndarray, right: np.ndarray, *fs: Callable) -> list:
     """Fixed 4-panel composite Simpson of each array rule in fs on each
     [left[i], right[i]], all on one set of nodes."""
     widths = right - left
-    nodes = (left[:, None] + widths[:, None] * np.array(_PANEL_OFFSETS)).ravel()
-    weights = np.array(_PANEL_WEIGHTS)
-    return [(f(nodes).reshape(-1, 9) @ weights) * widths for f in fs]
+    nodes = _panel_nodes(left, widths)
+    return [_panel_sums(f(nodes), widths) for f in fs]
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +213,9 @@ class _Plateau:
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
         out = ((xs >= self.l1) & (xs <= self.r1)).astype(float)
-        up = np.flatnonzero((xs > self.l0) & (xs < self.l1))
+        up = ((xs > self.l0) & (xs < self.l1)).nonzero()[0]
         out[up] = _smoothstep_arr((xs[up] - self.l0) / (self.l1 - self.l0))
-        down = np.flatnonzero((xs > self.r1) & (xs < self.r0))
+        down = ((xs > self.r1) & (xs < self.r0)).nonzero()[0]
         out[down] = _smoothstep_arr((self.r0 - xs[down]) / (self.r0 - self.r1))
         return out
 
@@ -279,6 +288,17 @@ class ComposedMap(Record, eq=False):
         return self.outer(self.inner(xs))
 
 
+def _piecewise(out: np.ndarray, xs: np.ndarray, masks: list, fns) -> np.ndarray:
+    """np.piecewise's rule without its wrappers: out takes fns[i] of the
+    points of masks[i], a later mask winning, and a function is called only
+    on a non-empty mask. Points no mask holds keep out's values: zeros, or
+    a copy of xs where np.piecewise's last function is the identity."""
+    for mask, fn in zip(masks, fns):
+        if mask.any():
+            out[mask] = fn(xs[mask])
+    return out
+
+
 class PiecewiseMonotone(Record, eq=False):
     """Strictly increasing map assembled from pieces on a breakpoint grid.
 
@@ -333,9 +353,10 @@ class PiecewiseMonotone(Record, eq=False):
 
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        which = np.searchsorted(self.breakpoints, xs, side="right") - 1
-        which = np.clip(which, 0, len(self.pieces) - 1)
-        return np.piecewise(xs, [which == i for i in range(len(self.pieces))], self.pieces)
+        which = np.asarray(self.breakpoints).searchsorted(xs, side="right") - 1
+        which = np.minimum(np.maximum(which, 0), len(self.pieces) - 1)
+        return _piecewise(np.zeros(xs.shape), xs, [which == i for i in range(len(self.pieces))],
+                          self.pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -383,14 +404,15 @@ class NumericDiffeo(Record, eq=False):
         ys = np.asarray(self.ys, dtype=float)
         if len(xs) != len(ys) or len(xs) < 4:
             raise DomainError("need at least 4 samples")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise DomainError("samples must be finite")
         if not all(math.isfinite(s) for s in self.seams):
             raise DomainError(f"seams must be finite, got {list(self.seams)}")
-        if np.any(np.diff(xs) <= 0.0):
+        # on finite floats b - a <= 0 exactly when b <= a
+        if (xs[1:] <= xs[:-1]).any():
             raise DomainError("x samples must strictly increase")
         up = bool(ys[1] > ys[0])
-        if np.any(np.diff(ys) <= 0.0 if up else np.diff(ys) >= 0.0):
+        if (ys[1:] <= ys[:-1] if up else ys[1:] >= ys[:-1]).any():
             raise DomainError("y samples must be strictly monotone")
         setfield(self, "xs", tuple(xs.tolist()))
         setfield(self, "ys", tuple(ys.tolist()))
@@ -442,8 +464,8 @@ class NumericDiffeo(Record, eq=False):
         fwd, last = self._rule, len(ys) - 1
 
         def inv(y: np.ndarray) -> np.ndarray:
-            y = np.clip(y, ys[0], ys[-1])
-            i = np.clip(np.searchsorted(ys, y), 1, last)
+            y = np.minimum(np.maximum(y, ys[0]), ys[-1])
+            i = np.minimum(np.maximum(ys.searchsorted(y), 1), last)
             a, b = xs[i - 1], xs[i]
             fa, fb = np.asarray(fwd(np.concatenate((a, b))), dtype=float).reshape(2, -1) - y
             # Illinois regula falsi while fwd(a) < y <= fwd(b): an end kept twice
@@ -455,7 +477,7 @@ class NumericDiffeo(Record, eq=False):
             moved = np.zeros(len(y))  # -1: a moved last, +1: b did
             for _ in range(100):  # cells shrink to adjacent floats well before
                 mid = 0.5 * (a + b)
-                live = np.flatnonzero((fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0))
+                live = ((fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0)).nonzero()[0]
                 if live.size == 0:
                     break
                 al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
@@ -528,10 +550,10 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
         """F + R*g', reading g' only where R is nonzero."""
         r = R(t)
         out = F(t)
-        live = np.flatnonzero(r)
+        live = r.nonzero()[0]
         if live.size:
             gp = g.derivative_grid(t[live])
-            if np.any(gp <= 0.0):
+            if (gp <= 0.0).any():
                 raise DomainError("transition derivative is not positive on the grid")
             out[live] += r[live] * gp
         return out
@@ -546,9 +568,27 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     # import that np.unique makes on its first call
     xs = np.sort(np.concatenate((grid[~near], (lo_seam, hi_seam))))
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    i_fit = int(np.searchsorted(xs, hi_seam))
-    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(cells)))
-                       for cells in _panel_integrals(xs[:i_fit], xs[1:i_fit + 1], alpha, beta))
+    i_fit = int(xs.searchsorted(hi_seam))
+    # alpha is 1 and beta 0 exactly on a cell inside [b, lo_seam], alpha 0
+    # and beta 1 on one inside [b + 2 eps, c - 2 eps], judged by the cell's
+    # first and last panel nodes; only the cells a ramp crosses get nodes.
+    # Every row still goes through one matvec: BLAS may round the last
+    # (rows mod 4) rows of a product over a slice of rows another way.
+    left = xs[:i_fit]
+    widths = xs[1:i_fit + 1] - left
+    last = left + widths  # each cell's last panel node
+    flat_id = last <= lo_seam
+    flat_mid = (left >= b + 2 * eps) & (last <= c - 2 * eps)
+    ramp = ~(flat_id | flat_mid)
+    nodes = _panel_nodes(left[ramp], widths[ramp])
+
+    def integral(f: Callable, ones: np.ndarray) -> np.ndarray:
+        rows = np.zeros((i_fit, 9))
+        rows[ones] = 1.0
+        rows[ramp] = f(nodes).reshape(-1, 9)
+        return np.concatenate(([0.0], np.cumsum(_panel_sums(rows, widths))))
+
+    i_alpha, i_beta = integral(alpha, flat_id), integral(beta, flat_mid)
 
     target = float(g(hi_seam))
     numerator = target - b - i_alpha[-1]
@@ -575,12 +615,12 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
         return alpha(t) + lam * beta(t)
 
     def between(t: np.ndarray) -> np.ndarray:
-        i = np.searchsorted(xs, t, side="right") - 1
+        i = xs.searchsorted(t, side="right") - 1
         return ys[i] + _panel_integrals(xs[i], t, gamma)[0]
 
     def p_call(x: np.ndarray) -> np.ndarray:
-        return np.piecewise(x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],
-                            [g, between, lambda t: t])
+        return _piecewise(x.copy(), x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],
+                          [g, between])
 
     return NumericDiffeo(xs, ys, underlying=p_call,
                          seams=(lo_seam, hi_seam), glue=report)

@@ -250,16 +250,21 @@ def test_file_past_the_size_bound_is_refused_before_it_is_parsed(tmp_path, monke
     path.write_text(_long_germ_text(10 ** 6))
     assert path.stat().st_size > cli._MAX_FILE_CHARS
 
-    def no_parse(text):
-        raise AssertionError("json parsed a file past the bound")
+    parsed = []  # the length of each text json.loads is given
+    loads = cli.json.loads
 
-    monkeypatch.setattr(cli.json, "loads", no_parse)
+    def recorded(text):
+        parsed.append(len(text))
+        return loads(text)
+
+    monkeypatch.setattr(cli.json, "loads", recorded)
     assert run(["germ", "invert", "--h", str(path)]) == EXIT_INPUT
     assert f"more than {cli._MAX_FILE_CHARS} characters" in capsys.readouterr().err
+    assert parsed == []
     # the bound counts characters: a file of exactly that many is parsed
     path.write_text(" " * (cli._MAX_FILE_CHARS - 2) + "{}")
-    with pytest.raises(AssertionError, match="json parsed"):
-        run(["germ", "invert", "--h", str(path)])
+    run(["germ", "invert", "--h", str(path)])
+    assert parsed == [cli._MAX_FILE_CHARS]
 
 
 @pytest.mark.parametrize("text", ["2", "0.5", "1/3", "1e3", " -1_0.5E+1_0 ", "1e4299"])
@@ -703,6 +708,17 @@ def test_help_exits_zero(capsys):
 
 def test_unknown_command_is_input_error(capsys):
     assert run(["frobnicate"]) == EXIT_INPUT
+
+
+def test_unexpected_exception_is_one_line_internal_error(monkeypatch, capsys):
+    def fault(args):
+        raise ZeroDivisionError("division by zero")
+
+    monkeypatch.setattr(cli, "_cmd_psi", fault)
+    assert run(["psi", "--a", "2"]) == EXIT_NUMERIC
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: ZeroDivisionError: division by zero\n"
 
 
 def test_missing_required_flag_is_input_error(capsys):

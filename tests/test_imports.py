@@ -35,12 +35,8 @@ def unused_imports(source: str) -> set:
     return imported - used
 
 
-@pytest.mark.parametrize(
-    "path", sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
-    ids=lambda p: p.stem,
-)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.stem)
 def test_module_uses_every_import(path):
-    # __init__.py is left out: its imports are the public API
     unused = unused_imports(path.read_text(encoding="utf-8"))
     assert unused == KEPT.get(path.stem, set())
 

@@ -1,6 +1,9 @@
 """Chart joining: quadrature, glue construction, certification, collapse."""
 
 import math
+import random
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +32,12 @@ from twoorigins.join import (
     verify_ck_numeric,
 )
 
+import glue_reference
 from glue_oracle import carried_residual
+from record_fields import record_fields
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import gen  # noqa: E402  (read only: the benchmark's map builders)
 
 
 def adaptive_simpson(f, a, b, tol=1e-10, depth=20):
@@ -367,15 +375,15 @@ def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes(monkeypatch)
         return x * x
 
     g = NumericDiffeo.from_function(square, (0.0, 1.0), n=256)
-    quadratures = []
-    panel_integrals = join_mod._panel_integrals
+    sums = []
+    panel_sums = join_mod._panel_sums
 
-    def recorded(left, right, *fs):
-        cells = panel_integrals(left, right, *fs)
-        quadratures.append((right, cells))
+    def recorded(rows, widths):
+        cells = panel_sums(rows, widths)
+        sums.append(cells)
         return cells
 
-    monkeypatch.setattr(join_mod, "_panel_integrals", recorded)
+    monkeypatch.setattr(join_mod, "_panel_sums", recorded)
     seen.clear()
     p = glue_id_and_diff(g, 0.1, n=4096)
     hi_seam = 1.0 - 0.1
@@ -385,9 +393,10 @@ def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes(monkeypatch)
     points = np.concatenate(seen)
     snapped = np.array(p.xs)[np.array(p.xs) >= hi_seam]
     assert np.array_equal(np.sort(points[points > hi_seam + 2e-5]), snapped[1:])
-    # the quadrature ends at the seam, and the report holds the balance there
-    right, (alpha_cells, beta_cells) = quadratures[0]
-    assert right[-1] == hi_seam
+    # the glue's first two panel sums are the cells of alpha and beta; the
+    # quadrature ends at the seam, and the report holds the balance there
+    alpha_cells, beta_cells = sums[:2]
+    assert p.xs[len(alpha_cells)] == hi_seam
     rep = p.glue
     balance = abs(0.0 + np.cumsum(alpha_cells)[-1] + rep.lam * np.cumsum(beta_cells)[-1]
                   - g(hi_seam))
@@ -481,24 +490,70 @@ def test_glue_matches_zones_for_quadratic_family(lam):
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
+#: Two chart images whose overlap (b, c) puts c - eps one ulp from a node
+#: of the 4096-cell glue grid, and the bent transition's (lam, mu) on it.
+ONE_ULP_IMAGES = ((0.014659640964973297, 2.0146596409649735),
+                  (1.4484742195058764, 3.4484742195058766))
+ONE_ULP_BEND = (-0.01727386910829687, -0.006983259853746482)
+
+
+def bent_diffeo(lo, hi, lam, mu):
+    return NumericDiffeo.from_function(gen.bent_map(lo, hi, lam, mu), (lo, hi), n=256)
+
+
 def test_glue_seam_one_ulp_from_a_grid_node():
-    # c - eps lands one ulp from a node of the 4096-cell glue grid; that node
-    # must give way to the seam, or the snapped samples stop increasing
-    images = [(0.014659640964973297, 2.0146596409649735),
-              (1.4484742195058764, 3.4484742195058766)]
-    lo, hi = images[1][0], images[0][1]
-    lam, mu = -0.01727386910829687, -0.006983259853746482
-    span = hi - lo
-
-    def bent(x):
-        t = (x - lo) / span
-        return lo + span * (t + t * (1.0 - t) * (lam + mu * (1.0 - 2.0 * t)))
-
-    g = NumericDiffeo.from_function(bent, (lo, hi), n=256)
+    # that node must give way to the seam, or the snapped samples stop
+    # increasing
+    lo, hi = ONE_ULP_IMAGES[1][0], ONE_ULP_IMAGES[0][1]
+    g = bent_diffeo(lo, hi, *ONE_ULP_BEND)
     p = glue_auto(g)
-    assert np.min(np.diff(p.xs)) > 1e-6 * span
-    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    assert np.min(np.diff(p.xs)) > 1e-6 * (hi - lo)
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(ONE_ULP_IMAGES))
     assert collapse_chain(ChainAtlas(charts, (g,)), k=2, tol=1e-3).passed
+
+
+def test_glue_matches_the_all_cells_reference_bit_for_bit():
+    # the glue evaluates alpha and beta only on the cells a ramp crosses;
+    # the reference evaluates them on every cell
+    cases = [(x2_diffeo(), 0.1, 4096), (x2_diffeo(), 0.2, 1001), (x2_diffeo(), None, 4096)]
+    for seed in range(10):
+        spec = gen.chain_spec(random.Random(seed), 2)
+        overlap = (spec["images"][1][0], spec["images"][0][1])
+        cases.append((bent_diffeo(*overlap, *spec["params"][0]), None, 4096))
+    r = random.Random(7)
+    for n in (4093, 4094, 4095, 4097, 1001):
+        # ends off the dyadic grid, and cell counts that are not a power of two
+        lo = r.uniform(-1.0, 1.0)
+        hi = lo + r.uniform(0.3, 0.6)
+        cases.append((bent_diffeo(lo, hi, *gen.transition_params(r)), None, n))
+    for power, w in ((14, 0.05), (20, 0.01), (40, 0.02)):
+        steep = NumericDiffeo.from_function(gen.steep_map(0.25, 1.5, power, w), (0.25, 1.5),
+                                            n=512)
+        cases.append((steep, None, 4096))
+    cases.append((bent_diffeo(ONE_ULP_IMAGES[1][0], ONE_ULP_IMAGES[0][1], *ONE_ULP_BEND),
+                   None, 4096))
+    halved, fitted_cells = 0, set()
+    for g, eps, n in cases:
+        b, c = g.domain
+        t = np.linspace(b - 0.1 * (c - b), c + 0.1 * (c - b), 301)
+        glued, calls = [], []
+        for lib in (join_mod, glue_reference):
+            seen = []  # the size of each call of g's rule, while gluing and evaluating
+            counted = NumericDiffeo(g.xs, g.ys, underlying=lambda x: (
+                seen.append(x.size), g.underlying(x))[1])
+            p = lib.glue_auto(counted, n=n) if eps is None else \
+                lib.glue_id_and_diff(counted, eps, n=n)
+            # t[:20] lies below b, so only the identity branch holds points
+            glued.append((p.xs, p.ys, record_fields(p.glue), p(t).tolist(), p(t[:20]).tolist()))
+            calls.append(seen)
+        assert glued[0] == glued[1]
+        assert calls[0] == calls[1]
+        halved += p.glue.eps < (c - b) / 8.0
+        fitted_cells.add(p.xs.index(p.seams[1]) % 4)
+    # eps was halved at least three times, and the fitted quadratures have
+    # every row count mod 4 that a BLAS product rounds by its own path
+    assert halved >= 3
+    assert fitted_cells == {0, 1, 2, 3}
 
 
 # -- certification --------------------------------------------------------------
