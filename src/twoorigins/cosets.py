@@ -318,50 +318,58 @@ def pm_double_cosets(H: FiniteGroup, D: Subgroup) -> CosetPartition:
 
 def coset_membership_equiv(H: FiniteGroup, C: Subgroup, D: Subgroup,
                            g: int, h: int) -> bool:
-    """Whether g lies in the double coset of h, cross-checked against the
-    finite intersection test (C meets g D h^-1)."""
+    """Whether g lies in the double coset C h D, by the finite intersection
+    test: C meets g D h^-1."""
     _check_subgroup(H, C, "C")
     _check_subgroup(H, D, "D")
     for x in (g, h):
         if not 0 <= x < len(H):
             raise DomainError(f"index {x} not in any block")
-    member = g in _double_coset(H.table, C.members, h, D.members)
     hinv = H.inv(h)
     cs = set(C.members)
-    witness = any(H.mul(H.mul(g, d), hinv) in cs for d in D.members)
-    if member != witness:
-        raise AssertionError("membership and intersection tests disagree")
-    return member
+    return any(H.mul(H.mul(g, d), hinv) in cs for d in D.members)
 
 
 # ---------------------------------------------------------------------------
 # the w_a family
 
 CELLS = ("fix+", "fix-", "ex+", "ex-")
+#: The construction that populates each cell when it is nonempty.
+_WITNESS_KINDS = {"fix+": "identity", "fix-": "reflection",
+                  "ex+": "origin swap after the scaling map",
+                  "ex-": "origin swap after the scaling reflection"}
 
 
 class PairClassification(Record):
     """Emptiness pattern of the four symmetry cells between two structures.
 
     Cells are keyed fix+/fix-/ex+/ex- (origin action crossed with
-    orientation). witness_kind names the construction that populates each
-    nonempty cell.
+    orientation). cells pairs each key with whether the cell is nonempty,
+    and kinds with the construction that populates it ("" when empty), both
+    in CELLS order; nonempty and witness_kind read them as dicts.
     """
 
     a: object
     b: object
     k: int
-    nonempty: dict[str, bool]
-    witness_kind: dict[str, str]
+    cells: tuple
+    kinds: tuple
+
+    @property
+    def nonempty(self) -> dict:
+        return dict(self.cells)
+
+    @property
+    def witness_kind(self) -> dict:
+        return dict(self.kinds)
 
     def any_nonempty(self) -> bool:
-        return any(self.nonempty.values())
+        return any(on for _, on in self.cells)
 
     def to_json(self) -> dict:
         return {"a": real_json(self.a), "b": real_json(self.b), "k": self.k,
-                "cells": {c: self.nonempty[c] for c in CELLS},
-                "witness_kind": {c: self.witness_kind[c]
-                                 for c in CELLS if self.nonempty[c]}}
+                "cells": dict(self.cells),
+                "witness_kind": {c: kind for c, kind in self.kinds if kind}}
 
 
 class IntersectionType:
@@ -390,19 +398,10 @@ def classify_wa_pair(a, b, k: int = 1) -> PairClassification:
     bv = _positive_real(b, "b")
     if not isinstance(k, int) or k < 1:
         raise DomainError(f"k must be a positive integer, got {k!r}")
-    nonempty = {c: False for c in CELLS}
-    kind = {c: "" for c in CELLS}
-    if av == bv:
-        nonempty["fix+"] = True
-        kind["fix+"] = "identity"
-        nonempty["ex-"] = True
-        kind["ex-"] = "origin swap after the scaling reflection"
-    if av * bv == 1:
-        nonempty["fix-"] = True
-        kind["fix-"] = "reflection"
-        nonempty["ex+"] = True
-        kind["ex+"] = "origin swap after the scaling map"
-    return PairClassification(av, bv, k, nonempty, kind)
+    same, inverse = av == bv, av * bv == 1
+    cells = (("fix+", same), ("fix-", inverse), ("ex+", inverse), ("ex-", same))
+    kinds = tuple((c, _WITNESS_KINDS[c] if on else "") for c, on in cells)
+    return PairClassification(av, bv, k, cells, kinds)
 
 
 def intersection_type(a, b, k: int = 1) -> str:

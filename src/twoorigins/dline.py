@@ -411,13 +411,14 @@ def _wa_witnesses(cls_, k: int) -> dict[str, DiffeoL]:
     source = SpecialMinimalAtlas(make_wa(av))
     target = SpecialMinimalAtlas(make_wa(bv))
     out: dict[str, DiffeoL] = {}
-    if cls_.nonempty["fix+"]:
+    nonempty = cls_.nonempty
+    if nonempty["fix+"]:
         out["fix+"] = build_diffeo(identity_germ(), None, source, target, FIX, k)
-    if cls_.nonempty["fix-"]:
+    if nonempty["fix-"]:
         out["fix-"] = build_diffeo(flip_germ(), None, source, target, FIX, k)
-    if cls_.nonempty["ex+"]:
+    if nonempty["ex+"]:
         out["ex+"] = _origin_swap(av, 1, source, target, k)
-    if cls_.nonempty["ex-"]:
+    if nonempty["ex-"]:
         out["ex-"] = _origin_swap(av, -1, source, target, k)
     return out
 
@@ -449,4 +450,4 @@ def classification_to_json(cls_, witnesses: dict[str, DiffeoL]) -> dict:
                 "restriction": germ_to_json(d.restriction),
                 "origin_action": d.origin_action,
             })
-    return {"cells": {c: cls_.nonempty[c] for c in CELLS}, "witnesses": wit}
+    return {"cells": cls_.nonempty, "witnesses": wit}

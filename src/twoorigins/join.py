@@ -51,6 +51,10 @@ _IDENTITY_TOL = 1e-12
 _ENDPOINT_TOL = 1e-9
 #: Cells of the interior grid on which verify_ck_numeric reads the slope.
 _SLOPE_GRID = 32
+#: How many times glue_auto halves eps before it gives up.
+_GLUE_RETRIES = 6
+#: Interior points at which collapse_to_json samples each transition.
+_JSON_SAMPLES = 65
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +194,6 @@ class _Plateau:
     q(t) = exp(-1/t), which satisfies s(t) + s(1-t) = 1. That identity makes
     cross-fades of two plateaus sum to exactly 1, so gluing the identity to
     itself reproduces the identity with no quadrature wobble.
-
-    The value is s((x - l0)/(l1 - l0)) * s((r0 - x)/(r0 - r1)), but a call
-    runs the smoothstep only on the nodes in the bands (l0, l1) and
-    (r1, r0) and writes 0 and 1 elsewhere. That is the product to the bit:
-    float subtraction and division by a positive constant are monotone, so
-    at and past l1 the left argument is at least 1 (and s of it exactly 1),
-    at and before l0 it is at most 0, and the same holds on the right; the
-    bands are disjoint, so the other factor is exactly 1 in either of them.
     """
 
     __slots__ = ("l0", "l1", "r1", "r0")
@@ -212,12 +208,8 @@ class _Plateau:
 
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        out = ((xs >= self.l1) & (xs <= self.r1)).astype(float)
-        up = ((xs > self.l0) & (xs < self.l1)).nonzero()[0]
-        out[up] = _smoothstep_arr((xs[up] - self.l0) / (self.l1 - self.l0))
-        down = ((xs > self.r1) & (xs < self.r0)).nonzero()[0]
-        out[down] = _smoothstep_arr((self.r0 - xs[down]) / (self.r0 - self.r1))
-        return out
+        return (_smoothstep_arr((xs - self.l0) / (self.l1 - self.l0))
+                * _smoothstep_arr((self.r0 - xs) / (self.r0 - self.r1)))
 
 
 def bump_plateau(l0, l1, r1, r0) -> _Plateau:
@@ -626,15 +618,13 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
                          seams=(lo_seam, hi_seam), glue=report)
 
 
-def glue_auto(g: NumericDiffeo, n: int = 4096, retries: int = 6) -> NumericDiffeo:
+def glue_auto(g: NumericDiffeo, n: int = 4096) -> NumericDiffeo:
     """Glue with automatic eps: start at an eighth of the span, halve on
-    infeasibility, give up after the retry budget."""
-    if retries < 0:
-        raise DomainError(f"the retry budget must be at least 0, got {retries}")
+    infeasibility, give up after _GLUE_RETRIES halvings."""
     b, c = g.domain
     eps = (c - b) / 8.0
     last = None
-    for _ in range(retries + 1):
+    for _ in range(_GLUE_RETRIES + 1):
         try:
             return glue_id_and_diff(g, eps, n=n)
         except GlueInfeasible as exc:
@@ -870,15 +860,15 @@ def _join_maps(u_image: tuple, v_image: tuple, g: NumericDiffeo, n: int = 4096) 
 
     p = glue_auto(g, n=n)
     eps = p.glue.eps
-    # p is already x up to b + eps and g from c - eps on, so on (a, c) it
-    # is P by itself; p o g^-1 is not bitwise x past g(c - eps), so Q is
-    # two pieces
-    P = PiecewiseMonotone((a, c), (p,), extra_seams=p.seams)
+    # p is already x up to b + eps and g from c - eps on, so P is p read on
+    # (a, c): one piece has no breakpoint to check, and p's own samples
+    # showed it increasing. p o g^-1 is not bitwise x past y2 = g(c - eps),
+    # so Q is two pieces, and its construction checks that they meet there.
+    P = ComposedMap(p, IdentityMap((a, c)), seams=p.seams)
     y1 = float(g(b + eps))
     y2 = float(g(c - eps))
-    q_mid = ComposedMap(p, g.inverse(), seams=(y1, y2))
-    Q = PiecewiseMonotone((b, y2, d), (q_mid, IdentityMap((y2, d))),
-                          extra_seams=(y1,))
+    q_mid = ComposedMap(p, g.inverse())
+    Q = PiecewiseMonotone((b, y2, d), (q_mid, IdentityMap((y2, d))), extra_seams=(y1,))
     return P, Q, p.glue
 
 
@@ -1062,19 +1052,18 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
     return ChainAtlas(tuple(charts), tuple(transitions)), k, tol
 
 
-def _sample_map(r, domain, n: int = 65) -> list:
+def _sample_map(r, domain) -> list:
     lo, hi = domain
-    xs = np.linspace(lo, hi, n + 2)[1:-1]
+    xs = np.linspace(lo, hi, _JSON_SAMPLES + 2)[1:-1]
     return np.column_stack((xs, r(xs))).tolist()
 
 
-def collapse_to_json(result: CollapseResult, atlas: ChainAtlas,
-                     n_samples: int = 65) -> dict:
+def collapse_to_json(result: CollapseResult, atlas: ChainAtlas) -> dict:
     return {
         "chart": {"label": result.chart.label,
                   "image": [result.chart.image[0], result.chart.image[1]]},
         "transitions": [
-            {"chart": i, "samples": _sample_map(r, atlas.charts[i].image, n_samples)}
+            {"chart": i, "samples": _sample_map(r, atlas.charts[i].image)}
             for i, r in enumerate(result.transitions)
         ],
         "cert": result.cert.to_json(),

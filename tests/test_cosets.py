@@ -594,6 +594,14 @@ def test_intersection_type_table():
     assert intersection_type(2, 3) == IntersectionType.EMPTY
 
 
+def test_equal_classifications_hash_equal():
+    a, b = classify_wa_pair(2, 2), classify_wa_pair(F(4, 2), 2)
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, classify_wa_pair(2, 3), classify_wa_pair(2, 3)}) == 2
+    assert a.nonempty == {"fix+": True, "fix-": False, "ex+": False, "ex-": True}
+    assert list(a.witness_kind) == list(CELLS)
+
+
 def test_classification_json_shape():
     c = classify_wa_pair(2, 2)
     d = c.to_json()

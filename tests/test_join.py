@@ -457,23 +457,24 @@ def test_glue_infeasible_carries_diagnostics():
     assert exc.value.mass < 0.0
 
 
-def test_glue_auto_narrows_eps_until_feasible():
+def test_glue_auto_narrows_eps_until_feasible(monkeypatch):
     g = NumericDiffeo.from_function(lambda x: x**20, (0.0, 1.0), n=512)
     p = glue_auto(g, n=512)
     assert p.glue.eps < 0.125
     assert p.glue.lam > 0.0
-    with pytest.raises(GlueInfeasible):
-        glue_auto(g, n=512, retries=0)
+    # where no eps is feasible it tries an eighth of the span and then each
+    # halving in turn, and raises the last failure
+    tried = []
 
+    def infeasible(g, eps, n):
+        tried.append(eps)
+        raise GlueInfeasible("no room", eps=eps, mass=-1.0)
 
-def test_glue_auto_rejects_a_negative_retry_budget(monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("no glue may start")
-
-    monkeypatch.setattr(join_mod, "glue_id_and_diff", never)
-    g = NumericDiffeo.from_function(lambda x: x**2, (0.0, 1.0), n=64)
-    with pytest.raises(DomainError, match="retry budget"):
-        glue_auto(g, retries=-1)
+    monkeypatch.setattr(join_mod, "glue_id_and_diff", infeasible)
+    with pytest.raises(GlueInfeasible) as exc:
+        glue_auto(g, n=512)
+    assert tried == [0.125 / 2**i for i in range(join_mod._GLUE_RETRIES + 1)]
+    assert exc.value.eps == tried[-1]
 
 
 @settings(max_examples=10, deadline=None)
@@ -829,7 +830,32 @@ def test_two_chart_collapse_reads_the_glue_on_the_left_chart():
     atlas = ChainAtlas((IntervalChart("u", (0.0, 2.0)), IntervalChart("v", (1.0, 3.0))), (g,))
     xs = np.linspace(0.0, 2.0, 201)[1:-1]
     r = collapse_chain(atlas, k=1).transitions[0]
-    assert np.array_equal(r(xs), glue_auto(g)(xs))
+    p = glue_auto(g)
+    assert np.array_equal(r(xs), p(xs))
+    assert [r(float(x)) for x in xs] == [p(float(x)) for x in xs]
+    assert r.domain == (0.0, 2.0)
+    assert r.seams == p.seams
+
+
+def test_join_maps_read_the_glue_once_before_certifying(monkeypatch):
+    # Q's construction samples q_mid = p o g^-1 once; P, the glue read on
+    # (a, c), has no check of its own that calls it
+    g = overlap_transition(1.0, 2.0, 0.4)
+    calls = []
+
+    def counted(g, n=4096):
+        p = glue_auto(g, n=n)
+
+        def rule(x):
+            calls.append(x.size)
+            return p.underlying(x)
+        return NumericDiffeo(p.xs, p.ys, underlying=rule, seams=p.seams, glue=p.glue)
+
+    monkeypatch.setattr(join_mod, "glue_auto", counted)
+    P, Q, report = join_mod._join_maps((0.0, 2.0), (1.0, 3.0), g)
+    assert len(calls) == 1
+    assert P.domain == (0.0, 2.0)
+    assert P.seams == (1.0 + report.eps, 2.0 - report.eps)
 
 
 def test_collapse_certifies_each_chart_once(monkeypatch):
@@ -1009,8 +1035,8 @@ def test_collapse_to_json_shape():
     spec = chain_spec()
     atlas, k, _ = chain_from_json(spec)
     res = collapse_chain(atlas, k=k)
-    out = collapse_to_json(res, atlas, n_samples=17)
+    out = collapse_to_json(res, atlas)
     assert out["chart"]["image"] == [0.0, 3.0]
     assert [t["chart"] for t in out["transitions"]] == [0, 1]
-    assert len(out["transitions"][0]["samples"]) == 17
+    assert len(out["transitions"][0]["samples"]) == 65
     assert out["cert"]["passed"] is True
