@@ -383,6 +383,10 @@ class NumericDiffeo(Record, eq=False):
     images; from_function makes such a rule of any callable. seams lists
     interior points where smoothness is merely piecewise. Samples and seams
     must be finite.
+
+    The samples are kept as read-only float64 copies of what the caller
+    passed; xs and ys read them as tuples of Python floats, built on the
+    first read, which a glue or a collapse never makes.
     """
 
     xs: tuple
@@ -391,31 +395,43 @@ class NumericDiffeo(Record, eq=False):
     seams: tuple = ()
     glue: Optional[GlueReport] = None
 
-    def __post_init__(self):
-        xs = np.array(self.xs, dtype=float)  # the interpolant keeps it: a copy
-        ys = np.asarray(self.ys, dtype=float)
+    def __init__(self, xs, ys, underlying=None, seams=(), glue=None):
+        xs, ys = np.array(xs, dtype=float), np.array(ys, dtype=float)
         if len(xs) != len(ys) or len(xs) < 4:
             raise DomainError("need at least 4 samples")
         if not (np.isfinite(xs).all() and np.isfinite(ys).all()):
             raise DomainError("samples must be finite")
-        if not all(math.isfinite(s) for s in self.seams):
-            raise DomainError(f"seams must be finite, got {list(self.seams)}")
+        if not all(math.isfinite(s) for s in seams):
+            raise DomainError(f"seams must be finite, got {list(seams)}")
         # on finite floats b - a <= 0 exactly when b <= a
         if (xs[1:] <= xs[:-1]).any():
             raise DomainError("x samples must strictly increase")
         up = bool(ys[1] > ys[0])
         if (ys[1:] <= ys[:-1] if up else ys[1:] >= ys[:-1]).any():
             raise DomainError("y samples must be strictly monotone")
-        setfield(self, "xs", tuple(xs.tolist()))
-        setfield(self, "ys", tuple(ys.tolist()))
+        xs.flags.writeable = ys.flags.writeable = False
+        setfield(self, "_x", xs)
+        setfield(self, "_y", ys)
+        setfield(self, "underlying", underlying)
+        setfield(self, "seams", seams)
+        setfield(self, "glue", glue)
         setfield(self, "_increasing", up)
-        if self.underlying is None:
+        if underlying is None:
             rule, slope = _monotone_cubic(xs, ys)
         else:
-            rule = self.underlying
-            slope = functools.partial(_central_slope, rule, lo=self.xs[0], hi=self.xs[-1])
+            rule = underlying
+            slope = functools.partial(_central_slope, rule, lo=float(xs[0]), hi=float(xs[-1]))
         setfield(self, "_rule", rule)
         setfield(self, "_slope", slope)
+
+    def __getattr__(self, name: str):
+        # only reads of a name not yet set arrive here: xs and ys are set on
+        # their first read
+        if name not in ("xs", "ys"):
+            raise AttributeError(name)
+        value = tuple((self._x if name == "xs" else self._y).tolist())
+        setfield(self, name, value)
+        return value
 
     @classmethod
     def from_function(cls, fn: Callable, domain, n: int = 256,
@@ -429,7 +445,7 @@ class NumericDiffeo(Record, eq=False):
 
     @property
     def domain(self) -> tuple:
-        return (self.xs[0], self.xs[-1])
+        return (float(self._x[0]), float(self._x[-1]))
 
     @property
     def increasing(self) -> bool:
@@ -450,50 +466,66 @@ class NumericDiffeo(Record, eq=False):
 
     def inverse(self) -> "NumericDiffeo":
         """Functional inverse: sample swap plus root-finding on the forward map."""
-        xs, ys = np.array(self.xs), np.array(self.ys)
-        if not self.increasing:
-            xs, ys = xs[::-1], ys[::-1]
+        up = self.increasing
+        xs, ys = (self._x, self._y) if up else (self._x[::-1], self._y[::-1])
         fwd, last = self._rule, len(ys) - 1
 
         def inv(y: np.ndarray) -> np.ndarray:
             y = np.minimum(np.maximum(y, ys[0]), ys[-1])
             i = np.minimum(np.maximum(ys.searchsorted(y), 1), last)
             a, b = xs[i - 1], xs[i]
-            fa, fb = np.asarray(fwd(np.concatenate((a, b))), dtype=float).reshape(2, -1) - y
+            # the seed: a thousandth of the cell on either side of the secant
+            # of the samples, clipped to the cell (fmax and fmin clip a NaN
+            # from samples past the float range to an end)
+            step = b - a
+            lo, hi = (a, b) if up else (b, a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                x = a + (y - ys[i - 1]) * (step / (ys[i] - ys[i - 1]))
+                sa = np.fmin(np.fmax(x - 1e-3 * step, lo), hi)
+                sb = np.fmin(np.fmax(x + 1e-3 * step, lo), hi)
+            fa, fb, fsa, fsb = np.asarray(fwd(np.concatenate((a, b, sa, sb))),
+                                          dtype=float).reshape(4, -1) - y
             # Illinois regula falsi while fwd(a) < y <= fwd(b): an end kept twice
             # in a row has its residual halved, so both ends close in. The
-            # answer is the first float from a toward b with fwd(x) >= y, so
-            # the inverse rounds one way everywhere and seam certificates see
-            # no ulp jitter. Where the rule and the samples disagree, the
-            # nearer cell end stands.
-            moved = np.zeros(len(y))  # -1: a moved last, +1: b did
+            # answer is the first float from a toward b with fwd(x) >= y (on
+            # a rule monotone in floats; elsewhere, some float where fwd
+            # crosses y), so the inverse rounds one way everywhere and seam
+            # certificates see no ulp jitter. The seed replaces the cell only
+            # where both straddle y; where the rule and the samples disagree,
+            # the nearer cell end stands. Every pass runs on all points and
+            # moves only the live ones.
+            seed = (fa < 0.0) & (fb >= 0.0) & (fsa < 0.0) & (fsb >= 0.0)
+            a, b = np.where(seed, sa, a), np.where(seed, sb, b)
+            fa, fb = np.where(seed, fsa, fa), np.where(seed, fsb, fb)
+            a_last = b_last = np.zeros(len(y), dtype=bool)  # which end moved last
             for _ in range(100):  # cells shrink to adjacent floats well before
-                mid = 0.5 * (a + b)
-                live = ((fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0)).nonzero()[0]
-                if live.size == 0:
-                    break
-                al, bl, fal, fbl = a[live], b[live], fa[live], fb[live]
-                x = bl - fbl * (bl - al) / (fbl - fal)
-                x = np.where((x - al) * (x - bl) < 0.0, x, mid[live])
-                x = np.where(fbl == 0.0, np.nextafter(bl, al), x)  # b is a root: step down
-                fx = np.asarray(fwd(x), dtype=float) - y[live]
+                # the points at rest may divide 0 by 0 here; the masks drop them
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    mid = 0.5 * (a + b)
+                    live = (fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0)
+                    if not live.any():
+                        break
+                    x = b - fb * (b - a) / (fb - fa)
+                    x = np.where((x - a) * (x - b) < 0.0, x, mid)
+                    x = np.where(fb == 0.0, np.nextafter(b, a), x)  # b is a root: step down
+                fx = np.asarray(fwd(x), dtype=float) - y
                 low = fx < 0.0
-                a[live] = np.where(low, x, al)
-                b[live] = np.where(low, bl, x)
-                fa[live] = np.where(low, fx, np.where(moved[live] > 0.0, 0.5 * fal, fal))
-                fb[live] = np.where(low, np.where(moved[live] < 0.0, 0.5 * fbl, fbl), fx)
-                moved[live] = np.where(low, -1.0, 1.0)
+                new_a, new_b = live & low, live & ~low
+                a, b = np.where(new_a, x, a), np.where(new_b, x, b)
+                fa, fb = (np.where(new_a, fx, np.where(new_b & b_last, 0.5 * fa, fa)),
+                          np.where(new_b, fx, np.where(new_a & a_last, 0.5 * fb, fb)))
+                a_last, b_last = low, ~low
             return np.where(fa >= 0.0, a, b)
 
         inv_seams = tuple(sorted(float(self(s)) for s in self.seams))
-        return NumericDiffeo(tuple(ys), tuple(xs), underlying=inv, seams=inv_seams)
+        return NumericDiffeo(ys, xs, underlying=inv, seams=inv_seams)
 
     def is_identity(self) -> bool:
-        scale = max(1.0, abs(self.xs[0]), abs(self.xs[-1]))
-        return all(abs(y - x) <= _IDENTITY_TOL * scale for x, y in zip(self.xs, self.ys))
+        scale = max(1.0, abs(float(self._x[0])), abs(float(self._x[-1])))
+        return bool((np.abs(self._y - self._x) <= _IDENTITY_TOL * scale).all())
 
     def to_json(self) -> dict:
-        return {"samples": [[x, y] for x, y in zip(self.xs, self.ys)],
+        return {"samples": np.column_stack((self._x, self._y)).tolist(),
                 "seams": list(self.seams)}
 
     @classmethod
@@ -538,17 +570,20 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     R = bump_plateau(c - 2 * eps, hi_seam, c, c + eps)
     beta = bump_plateau(lo_seam, b + 2 * eps, c - 2 * eps, hi_seam)
 
-    def alpha(t: np.ndarray) -> np.ndarray:
-        """F + R*g', reading g' only where R is nonzero."""
-        r = R(t)
-        out = F(t)
+    def integrand(t: np.ndarray) -> tuple:
+        """F + R*g' and beta at nodes t in [b, c], reading g' only where R is
+        nonzero. There F's left factor and R's right factor are exactly 1,
+        so each plateau is its live factors' product."""
+        out = _smoothstep_arr((F.r0 - t) / (F.r0 - F.r1))
+        r = _smoothstep_arr((t - R.l0) / (R.l1 - R.l0))
         live = r.nonzero()[0]
         if live.size:
             gp = g.derivative_grid(t[live])
             if (gp <= 0.0).any():
                 raise DomainError("transition derivative is not positive on the grid")
             out[live] += r[live] * gp
-        return out
+        return out, (_smoothstep_arr((t - beta.l0) / (beta.l1 - beta.l0))
+                     * _smoothstep_arr((beta.r0 - t) / (beta.r0 - beta.r1)))
 
     # a grid node within rounding (1e-12 of the scale) of a seam would leave
     # a cell too thin to stay increasing once the samples are snapped: the
@@ -574,13 +609,14 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     ramp = ~(flat_id | flat_mid)
     nodes = _panel_nodes(left[ramp], widths[ramp])
 
-    def integral(f: Callable, ones: np.ndarray) -> np.ndarray:
+    def integral(values: np.ndarray, ones: np.ndarray) -> np.ndarray:
         rows = np.zeros((i_fit, 9))
         rows[ones] = 1.0
-        rows[ramp] = f(nodes).reshape(-1, 9)
+        rows[ramp] = values.reshape(-1, 9)
         return np.concatenate(([0.0], np.cumsum(_panel_sums(rows, widths))))
 
-    i_alpha, i_beta = integral(alpha, flat_id), integral(beta, flat_mid)
+    on_alpha, on_beta = integrand(nodes)
+    i_alpha, i_beta = integral(on_alpha, flat_id), integral(on_beta, flat_mid)
 
     target = float(g(hi_seam))
     numerator = target - b - i_alpha[-1]
@@ -604,7 +640,8 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
                         presnap_id=presnap_id, presnap_g=presnap_g, cells=len(xs) - 1)
 
     def gamma(t: np.ndarray) -> np.ndarray:
-        return alpha(t) + lam * beta(t)
+        on_alpha, on_beta = integrand(t)
+        return on_alpha + lam * on_beta
 
     def between(t: np.ndarray) -> np.ndarray:
         i = xs.searchsorted(t, side="right") - 1
@@ -709,7 +746,8 @@ def _check_transition(g, name: str, overlap: Optional[tuple] = None) -> None:
     if not g.increasing:
         raise NotJoinable(f"{name} must preserve orientation")
     scale = max(1.0, abs(lo), abs(hi))
-    if abs(g.ys[0] - lo) > _ENDPOINT_TOL * scale or abs(g.ys[-1] - hi) > _ENDPOINT_TOL * scale:
+    first, last = float(g._y[0]), float(g._y[-1])
+    if abs(first - lo) > _ENDPOINT_TOL * scale or abs(last - hi) > _ENDPOINT_TOL * scale:
         raise NotJoinable(f"{name} does not fix the overlap ends")
 
 
@@ -769,8 +807,8 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     and no first-derivative estimate anywhere (seams or the dyadic interior
     grid) may be significantly negative: slope > -tol_1, which deliberately
     admits maps with a vanishing one-sided slope at a seam. Failures are
-    reported, never raised; values so large that the grid slope overflows
-    raise DomainError.
+    reported, never raised; values that overflow, or are so large that the
+    grid slope overflows, raise DomainError.
 
     The map is called once: on the four central-stencil nodes of each of the
     31 interior grid points and on the one-sided stencil nodes of every
@@ -797,7 +835,11 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     nodes = np.concatenate((slope_nodes, [s + o for s, j, sign, steps in plan
                                           for row in _numerics.offsets(j, steps, sign)
                                           for o in row]))
-    values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
+    # a map past the float range overflows here, and is reported as such
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
+    if not np.isfinite(values).all():
+        raise DomainError("map values too large: the map overflows")
 
     min_slope = math.inf
     if h.size:
@@ -1016,7 +1058,7 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
     how callers state what their data density supports.
     """
     try:
-        chart_specs = d["charts"]
+        chart_specs = list(d["charts"])
     except (KeyError, TypeError) as exc:
         raise DomainError(f"malformed join spec: {exc}") from exc
     charts, maps = [], []
@@ -1027,8 +1069,12 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
             raise DomainError(f"malformed chart {i}: {exc}") from exc
         maps.append(_map_from_json(spec.get("map")))
         charts.append(IntervalChart(str(spec.get("label", f"chart{i}")), image))
+    try:
+        transition_specs = list(d.get("transitions", ()))
+    except TypeError as exc:
+        raise DomainError(f"malformed join spec: {exc}") from exc
     given = {}
-    for t in d.get("transitions", ()):
+    for t in transition_specs:
         try:
             i, j = int(t["between"][0]), int(t["between"][1])
         except (KeyError, TypeError, ValueError, IndexError) as exc:
@@ -1043,12 +1089,14 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
         else:
             overlap = (charts[i + 1].image[0], charts[i].image[1])
             transitions.append(_derive_transition(overlap, maps[i], maps[i + 1]))
-    k = int(d.get("k", 2))
-    tol = d.get("tol")
-    if tol is not None:
-        tol = float(tol)
-        if tol <= 0.0:
-            raise DomainError(f"tol must be positive, got {tol}")
+    try:
+        k = int(d.get("k", 2))
+        tol = d.get("tol")
+        tol = None if tol is None else float(tol)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"malformed join spec: {exc}") from exc
+    if tol is not None and tol <= 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     return ChainAtlas(tuple(charts), tuple(transitions)), k, tol
 
 

@@ -646,6 +646,16 @@ def test_join_malformed_chart_map_is_input_error(write, chart_map, capsys):
     assert err.startswith("input error: ") and "unrecognized map spec" in err
 
 
+@pytest.mark.parametrize("change", [{"charts": 5}, {"transitions": 5}, {"k": "x"}, {"k": [1]},
+                                    {"tol": "a"}, {"tol": {}}],
+                         ids=["charts", "transitions", "k", "k-list", "tol", "tol-object"])
+def test_join_malformed_spec_field_is_input_error(write, change, capsys):
+    spec = dict(join_spec(bent, k=1, tol=1e-3), **change)
+    assert run(["join", write("spec.json", spec)]) == EXIT_INPUT
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "malformed join spec" in err
+
+
 def test_join_disjoint_charts_not_joinable(write, capsys):
     spec = join_spec(lambda x: x)
     spec["charts"][1]["image"] = [2.5, 4.0]
@@ -679,6 +689,16 @@ def test_verify_slope_overflow_is_input_error(write, capsys):
     assert "overflows" in captured.err
     assert "NaN" not in captured.out
     assert "Traceback" not in captured.err + captured.out
+
+
+def test_verify_map_past_the_float_range_is_one_input_error_line(write, capsys):
+    # the interpolant overflows between these samples
+    path = write("huger.json", {"samples": [[i * 1e300, i * 1e300] for i in range(4)]})
+    assert run(["verify", path, "--k", "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: map values too large")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["x", "y", "seam"])

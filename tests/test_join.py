@@ -33,6 +33,7 @@ from twoorigins.join import (
 )
 
 import glue_reference
+import inverse_reference
 from glue_oracle import carried_residual
 from record_fields import record_fields
 
@@ -329,6 +330,67 @@ def test_numeric_diffeo_inverse_rounds_one_way():
     xs = d.inverse()(ys)
     assert np.all(fn(xs) >= ys)
     assert np.all(fn(np.nextafter(xs, -np.inf)) < ys)
+
+
+def test_numeric_diffeo_inverse_matches_the_cell_end_reference_bit_for_bit():
+    # the inverse starts from a bracket around the samples' secant; the
+    # reference starts every solve from the cell's ends. Each rule here is
+    # monotone in floats: where rounding makes a rule cross y at several
+    # floats (2 - x - 0.3 x (1 - x) near x = 0, whose floats are far finer
+    # than its values'), the two solves may stop at different crossings
+    maps = []
+    for seed in range(10):
+        spec = gen.chain_spec(random.Random(seed), 4)
+        for i, (lam, mu) in enumerate(spec["params"]):
+            maps.append(bent_diffeo(spec["images"][i + 1][0], spec["images"][i][1], lam, mu))
+    maps += [NumericDiffeo.from_function(quad_transition(4.796875, 5.28125, -0.35),
+                                         (4.796875, 5.28125), n=256),
+             NumericDiffeo.from_function(lambda x: 3.0 - x - 0.3 * (x - 1.0) * (2.0 - x),
+                                         (1.0, 2.0)),
+             NumericDiffeo.from_function(gen.steep_map(0.25, 1.5, 20, 0.01), (0.25, 1.5), n=512),
+             NumericDiffeo.from_json(maps[0].to_json())]
+    r = np.random.default_rng(25)
+    for d in maps:
+        lo, hi = sorted((d.ys[0], d.ys[-1]))
+        ys = np.array(d.ys)
+        points = np.concatenate((ys, np.nextafter(ys, -np.inf), np.nextafter(ys, np.inf),
+                                 0.5 * (ys[1:] + ys[:-1]), r.uniform(lo, hi, 500),
+                                 [lo, hi, lo - 1.0, hi + 1.0, lo - 1e-300, hi + 1e-9]))
+        assert d.inverse()(points).tolist() == inverse_reference.inverse(d)(points).tolist()
+
+
+def test_numeric_diffeo_keeps_its_own_samples():
+    xs = np.linspace(0.0, 1.0, 17)
+    ys = xs + 0.3 * xs * (1.0 - xs)
+    want = (tuple(xs.tolist()), tuple(ys.tolist()))
+    q = np.linspace(-0.1, 1.1, 57)
+    maps = (NumericDiffeo(xs, ys),
+            NumericDiffeo(xs, ys, underlying=lambda t: t + 0.3 * t * (1.0 - t)))
+    values = [(m(q).tolist(), m.inverse()(q).tolist()) for m in maps]
+    xs[:] = np.linspace(5.0, 6.0, 17)
+    ys[::-1] = ys.copy()
+    for m, before in zip(maps, values):
+        assert (m.xs, m.ys) == want and m.domain == (0.0, 1.0)
+        assert (m(q).tolist(), m.inverse()(q).tolist()) == before
+
+
+def test_collapse_builds_no_sample_tuples(monkeypatch):
+    glued = []
+
+    def recorded(g, *args, **kwargs):
+        glued.append(glue_auto(g, *args, **kwargs))
+        return glued[-1]
+
+    monkeypatch.setattr(join_mod, "glue_auto", recorded)
+    spec = gen.chain_spec(random.Random(16), 16)
+    images = spec["images"]
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    transitions = tuple(bent_diffeo(images[i + 1][0], images[i][1], lam, mu)
+                        for i, (lam, mu) in enumerate(spec["params"]))
+    assert collapse_chain(ChainAtlas(charts, transitions), k=1).passed
+    assert len(glued) == 15
+    for m in glued + list(transitions):
+        assert "xs" not in vars(m) and "ys" not in vars(m)
 
 
 def test_numeric_diffeo_identity_detection():
