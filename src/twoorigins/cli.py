@@ -17,6 +17,9 @@ Exit codes are part of the interface:
 * 3 - numeric indeterminacy: the computation could not settle the question,
   or an internal error, reported as one line with no traceback
 
+A reader that closes stdout early changes no exit code: the report is
+written once the command is done, and a closed pipe then only discards it.
+
 Each subcommand first imports the layers among cosets, dline and germs that
 it calls (`_bind`), so a process compiles only those; errors, realnum and
 join are imported here.
@@ -26,7 +29,9 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -419,8 +424,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout and flush it. When the reader has closed the
+    pipe, stdout's descriptor is pointed at os.devnull instead, as the note
+    on SIGPIPE in the signal module's documentation advises, so that the
+    flush at exit raises nothing."""
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def run(argv) -> int:
-    """Parse argv and execute; returns the exit code instead of raising."""
+    """Parse argv and execute; returns the exit code instead of raising.
+    What the command prints to stdout is held until it returns, so that a
+    closed pipe cannot interrupt it: the exit code is the command's."""
+    stdout, sys.stdout = sys.stdout, io.StringIO()
+    try:
+        return _run(argv)
+    finally:
+        text, sys.stdout = sys.stdout.getvalue(), stdout
+        _write_stdout(text)
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)

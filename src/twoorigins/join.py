@@ -152,26 +152,22 @@ def _piecewise_poly(xs: np.ndarray, coef: np.ndarray, q: np.ndarray) -> np.ndarr
 # ---------------------------------------------------------------------------
 # quadrature
 
-_PANEL_OFFSETS = tuple(i / 8.0 for i in range(9))
-_PANEL_WEIGHTS = tuple(w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0))
+@functools.cache
+def _panel() -> tuple:
+    """The offsets of a cell's 9 panel nodes, as fractions of its width, and
+    their 4-panel composite Simpson weights; arrays, built on first use."""
+    return (np.array([i / 8.0 for i in range(9)]),
+            np.array([w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)]))
 
 
 def _panel_nodes(left: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """The 9 panel nodes of each cell [left[i], left[i] + widths[i]], flat."""
-    return (left[:, None] + widths[:, None] * np.array(_PANEL_OFFSETS)).ravel()
+    return (left[:, None] + widths[:, None] * _panel()[0]).ravel()
 
 
 def _panel_sums(rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
     """Each cell's integral from the values at its 9 panel nodes, one row a cell."""
-    return (rows.reshape(-1, 9) @ np.array(_PANEL_WEIGHTS)) * widths
-
-
-def _panel_integrals(left: np.ndarray, right: np.ndarray, *fs: Callable) -> list:
-    """Fixed 4-panel composite Simpson of each array rule in fs on each
-    [left[i], right[i]], all on one set of nodes."""
-    widths = right - left
-    nodes = _panel_nodes(left, widths)
-    return [_panel_sums(f(nodes), widths) for f in fs]
+    return (rows.reshape(-1, 9) @ _panel()[1]) * widths
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +296,8 @@ class PiecewiseMonotone(Record, eq=False):
     interior breakpoint (continuity), and the samples in order must not
     decrease (a spot check of strict monotonicity). The seams are the
     interior breakpoints plus any extras the builder knows about (e.g.
-    images of seams of an ingredient map).
+    images of seams of an ingredient map). The breakpoints are also kept as
+    an array, which each call searches.
     """
 
     breakpoints: tuple
@@ -333,6 +330,7 @@ class PiecewiseMonotone(Record, eq=False):
         setfield(self, "breakpoints", bps)
         setfield(self, "pieces", pieces)
         setfield(self, "extra_seams", extra_seams)
+        setfield(self, "_bps", np.array(bps))
 
     @property
     def domain(self) -> tuple:
@@ -345,7 +343,7 @@ class PiecewiseMonotone(Record, eq=False):
 
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        which = np.asarray(self.breakpoints).searchsorted(xs, side="right") - 1
+        which = self._bps.searchsorted(xs, side="right") - 1
         which = np.minimum(np.maximum(which, 0), len(self.pieces) - 1)
         return _piecewise(np.zeros(xs.shape), xs, [which == i for i in range(len(self.pieces))],
                           self.pieces)
@@ -465,7 +463,21 @@ class NumericDiffeo(Record, eq=False):
         return np.asarray(self._slope(np.asarray(xs, dtype=float)), dtype=float)
 
     def inverse(self) -> "NumericDiffeo":
-        """Functional inverse: sample swap plus root-finding on the forward map."""
+        """Functional inverse: sample swap plus root-finding on the forward map.
+
+        y is clipped to the samples' range and solved in the cell [a, b] of
+        the swapped samples that holds it. Where the rule puts the cell's
+        ends on both sides of y, fwd(a) < y <= fwd(b), the answer is a float
+        x with fwd(x) >= y whose neighbouring float toward a has fwd < y: on
+        a rule monotone in floats, the first float from a toward b with
+        fwd(x) >= y, so the inverse rounds one way everywhere and seam
+        certificates see no ulp jitter. From a root the loop steps toward a
+        one float per pass, so where the rule equals y at more consecutive
+        floats than it has passes left, x is one of those floats, with
+        fwd(x) = y. Elsewhere the rule and the samples disagree about y's
+        cell, and the end the rule puts on y's side stands: a where
+        fwd(a) >= y, else b.
+        """
         up = self.increasing
         xs, ys = (self._x, self._y) if up else (self._x[::-1], self._y[::-1])
         fwd, last = self._rule, len(ys) - 1
@@ -473,27 +485,23 @@ class NumericDiffeo(Record, eq=False):
         def inv(y: np.ndarray) -> np.ndarray:
             y = np.minimum(np.maximum(y, ys[0]), ys[-1])
             i = np.minimum(np.maximum(ys.searchsorted(y), 1), last)
-            a, b = xs[i - 1], xs[i]
+            a, b, ya, yb = xs[i - 1], xs[i], ys[i - 1], ys[i]
             # the seed: a thousandth of the cell on either side of the secant
             # of the samples, clipped to the cell (fmax and fmin clip a NaN
             # from samples past the float range to an end)
             step = b - a
             lo, hi = (a, b) if up else (b, a)
             with np.errstate(over="ignore", invalid="ignore"):
-                x = a + (y - ys[i - 1]) * (step / (ys[i] - ys[i - 1]))
+                x = a + (y - ya) * (step / (yb - ya))
                 sa = np.fmin(np.fmax(x - 1e-3 * step, lo), hi)
                 sb = np.fmin(np.fmax(x + 1e-3 * step, lo), hi)
             fa, fb, fsa, fsb = np.asarray(fwd(np.concatenate((a, b, sa, sb))),
                                           dtype=float).reshape(4, -1) - y
-            # Illinois regula falsi while fwd(a) < y <= fwd(b): an end kept twice
-            # in a row has its residual halved, so both ends close in. The
-            # answer is the first float from a toward b with fwd(x) >= y (on
-            # a rule monotone in floats; elsewhere, some float where fwd
-            # crosses y), so the inverse rounds one way everywhere and seam
-            # certificates see no ulp jitter. The seed replaces the cell only
-            # where both straddle y; where the rule and the samples disagree,
-            # the nearer cell end stands. Every pass runs on all points and
-            # moves only the live ones.
+            # Illinois regula falsi while fwd(a) < y <= fwd(b) and a and b are
+            # not neighbouring floats: an end kept twice in a row has its
+            # residual halved, so both ends close in. The seed replaces the
+            # cell only where both straddle y. Every pass runs on all points
+            # and moves only the live ones.
             seed = (fa < 0.0) & (fb >= 0.0) & (fsa < 0.0) & (fsb >= 0.0)
             a, b = np.where(seed, sa, a), np.where(seed, sb, b)
             fa, fb = np.where(seed, fsa, fa), np.where(seed, fsb, fb)
@@ -569,54 +577,68 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     F = bump_plateau(b - eps, b, lo_seam, b + 2 * eps)
     R = bump_plateau(c - 2 * eps, hi_seam, c, c + eps)
     beta = bump_plateau(lo_seam, b + 2 * eps, c - 2 * eps, hi_seam)
+    # gamma's left pair of smoothsteps, F's right factor and beta's left one,
+    # rises on [lo_seam, b2]; its right pair, R's left factor and beta's
+    # right one, on [c2, hi_seam]
+    b2, c2 = beta.l1, beta.r1
 
-    def integrand(t: np.ndarray) -> tuple:
-        """F + R*g' and beta at nodes t in [b, c], reading g' only where R is
-        nonzero. There F's left factor and R's right factor are exactly 1,
-        so each plateau is its live factors' product."""
-        out = _smoothstep_arr((F.r0 - t) / (F.r0 - F.r1))
-        r = _smoothstep_arr((t - R.l0) / (R.l1 - R.l0))
+    def integrand(t: np.ndarray, head: int, tail: int) -> tuple:
+        """F + R*g' and beta at nodes t in [b, c]. The left pair is
+        evaluated on t[:head] only and the right pair on t[tail:] only: the
+        caller puts every node below b2 in the one and every node above c2 in
+        the other, and elsewhere each pair is exactly 0 and 1. F's left
+        factor and R's right factor are exactly 1 on [b, c], so each plateau
+        is its live factors' product, and g' is read only where R is
+        nonzero."""
+        out, on_beta = np.zeros(t.shape), np.ones(t.shape)
+        ramp = t[:head]
+        out[:head] = _smoothstep_arr((F.r0 - ramp) / (F.r0 - F.r1))
+        on_beta[:head] = _smoothstep_arr((ramp - beta.l0) / (beta.l1 - beta.l0))
+        ramp = t[tail:]
+        r = _smoothstep_arr((ramp - R.l0) / (R.l1 - R.l0))
         live = r.nonzero()[0]
         if live.size:
-            gp = g.derivative_grid(t[live])
+            gp = g.derivative_grid(ramp[live])
             if (gp <= 0.0).any():
                 raise DomainError("transition derivative is not positive on the grid")
-            out[live] += r[live] * gp
-        return out, (_smoothstep_arr((t - beta.l0) / (beta.l1 - beta.l0))
-                     * _smoothstep_arr((beta.r0 - t) / (beta.r0 - beta.r1)))
+            out[tail + live] += r[live] * gp
+        on_beta[tail:] *= _smoothstep_arr((beta.r0 - ramp) / (beta.r0 - beta.r1))
+        return out, on_beta
 
     # a grid node within rounding (1e-12 of the scale) of a seam would leave
     # a cell too thin to stay increasing once the samples are snapped: the
-    # seam replaces it
+    # seam replaces it, so no node equals a seam
     grid = np.linspace(b, c, max(int(n), 16) + 1)
     near = np.minimum(np.abs(grid - lo_seam), np.abs(grid - hi_seam)) <= 1e-12 * scale
     near[[0, -1]] = False
-    # sorted and deduplicated as np.union1d would, without the numpy.ma
-    # import that np.unique makes on its first call
-    xs = np.sort(np.concatenate((grid[~near], (lo_seam, hi_seam))))
-    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    i_fit = int(xs.searchsorted(hi_seam))
-    # alpha is 1 and beta 0 exactly on a cell inside [b, lo_seam], alpha 0
-    # and beta 1 on one inside [b + 2 eps, c - 2 eps], judged by the cell's
-    # first and last panel nodes; only the cells a ramp crosses get nodes.
-    # Every row still goes through one matvec: BLAS may round the last
-    # (rows mod 4) rows of a product over a slice of rows another way.
+    grid = grid[~near]
+    i_lo, i_hi = grid.searchsorted((lo_seam, hi_seam)).tolist()
+    xs = np.concatenate((grid[:i_lo], (lo_seam,), grid[i_lo:i_hi], (hi_seam,), grid[i_hi:]))
+    i_fit = i_hi + 1
+    # The quadrature cells, by their first and last panel nodes: [0, n_id)
+    # lie in [b, lo_seam], where alpha is 1 and beta 0; [n_id, m_lo) start
+    # below b2 and cross the left ramp; [m_lo, m_hi) lie in [b2, c2], where
+    # alpha is 0 and beta 1; [r_lo, i_fit) end above c2 and cross the right
+    # ramp. Near eps = span/4 the two ramps' cells overlap and [m_lo, m_hi)
+    # is empty. Only the ramp cells get nodes, and every row still goes
+    # through one matvec: BLAS may round the last (rows mod 4) rows of a
+    # product over a slice of rows another way.
     left = xs[:i_fit]
     widths = xs[1:i_fit + 1] - left
-    last = left + widths  # each cell's last panel node
-    flat_id = last <= lo_seam
-    flat_mid = (left >= b + 2 * eps) & (last <= c - 2 * eps)
-    ramp = ~(flat_id | flat_mid)
-    nodes = _panel_nodes(left[ramp], widths[ramp])
-
-    def integral(values: np.ndarray, ones: np.ndarray) -> np.ndarray:
-        rows = np.zeros((i_fit, 9))
-        rows[ones] = 1.0
-        rows[ramp] = values.reshape(-1, 9)
-        return np.concatenate(([0.0], np.cumsum(_panel_sums(rows, widths))))
-
-    on_alpha, on_beta = integrand(nodes)
-    i_alpha, i_beta = integral(on_alpha, flat_id), integral(on_beta, flat_mid)
+    last = left + widths
+    n_id = int(last.searchsorted(lo_seam, side="right"))
+    m_lo = int(left.searchsorted(b2))
+    r_lo = int(last.searchsorted(c2, side="right"))
+    m_hi = max(m_lo, r_lo)
+    nodes = _panel_nodes(np.concatenate((left[n_id:m_lo], left[m_hi:])),
+                         np.concatenate((widths[n_id:m_lo], widths[m_hi:])))
+    head = 9 * (m_lo - n_id)
+    values = np.array(integrand(nodes, head, head + 9 * (r_lo - m_hi))).reshape(2, -1, 9)
+    rows = np.empty((2, i_fit, 9))
+    rows[0, :n_id], rows[1, :n_id] = 1.0, 0.0
+    rows[0, m_lo:m_hi], rows[1, m_lo:m_hi] = 0.0, 1.0
+    rows[:, n_id:m_lo], rows[:, m_hi:] = values[:, :m_lo - n_id], values[:, m_lo - n_id:]
+    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(_panel_sums(r, widths)))) for r in rows)
 
     target = float(g(hi_seam))
     numerator = target - b - i_alpha[-1]
@@ -629,23 +651,31 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
 
     ys = np.empty_like(xs)
     ys[:i_fit + 1] = b + i_alpha + lam * i_beta
-    left = xs <= lo_seam
-    presnap_id = float(np.max(np.abs(ys[left] - xs[left])))
+    flat = xs[:i_lo + 1]
+    presnap_id = float(np.max(np.abs(ys[:i_lo + 1] - flat)))
     presnap_g = abs(float(ys[i_fit]) - target)
-    ys[left] = xs[left]
+    ys[:i_lo + 1] = flat
     ys[i_fit:] = g(xs[i_fit:])
     integral_residual = presnap_g / span
 
     report = GlueReport(eps=eps, lam=float(lam), integral_residual=float(integral_residual),
                         presnap_id=presnap_id, presnap_g=presnap_g, cells=len(xs) - 1)
 
-    def gamma(t: np.ndarray) -> np.ndarray:
-        on_alpha, on_beta = integrand(t)
-        return on_alpha + lam * on_beta
-
     def between(t: np.ndarray) -> np.ndarray:
+        """p on (lo_seam, hi_seam): the sample at the left end of t's cell
+        plus the 4-panel Simpson integral of gamma from there to t. Where that
+        panel lies in [b2, c2] by the quadrature's test, gamma is lam at all
+        nine nodes and no factor is evaluated."""
         i = xs.searchsorted(t, side="right") - 1
-        return ys[i] + _panel_integrals(xs[i], t, gamma)[0]
+        left = xs[i]
+        widths = t - left
+        off = (left < b2) | (left + widths > c2)
+        rows = np.full((t.size, 9), lam)
+        if off.any():
+            off = off.nonzero()[0]
+            on_alpha, on_beta = integrand(_panel_nodes(left[off], widths[off]), 9 * off.size, 0)
+            rows[off] = (on_alpha + lam * on_beta).reshape(-1, 9)
+        return ys[i] + _panel_sums(rows, widths)
 
     def p_call(x: np.ndarray) -> np.ndarray:
         return _piecewise(x.copy(), x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],
@@ -782,7 +812,8 @@ class SmoothCert(Record):
 
 def _tolerances(k: int, tol) -> tuple:
     """Per-order tolerances of an order-k certificate from None (the default
-    schedule), one flat value or one value per order; DomainError if bad."""
+    schedule), one flat value or one value per order; DomainError unless each
+    is finite and positive."""
     cap = _numerics.ORDER_CAP
     if not isinstance(k, int) or not (1 <= k <= cap):
         raise DomainError(f"numeric certification is capped at order {cap}, got {k!r}")
@@ -794,8 +825,8 @@ def _tolerances(k: int, tol) -> tuple:
         tols = tuple(float(t) for t in tol)
         if len(tols) != k:
             raise DomainError(f"need {k} tolerances, got {len(tols)}")
-    if any(t <= 0.0 for t in tols):
-        raise DomainError(f"tolerances must be positive, got {tols}")
+    if not all(0.0 < t < math.inf for t in tols):  # NaN fails both tests
+        raise DomainError(f"tolerances must be finite and positive, got {tols}")
     return tols
 
 
@@ -832,9 +863,15 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     plan = [(s, j, sign, _numerics.halving(0.8 * gap / j, 12))
             for idx, s in enumerate(seams) for j in range(1, k + 1)
             for sign, gap in ((-1.0, s - bounds[idx]), (1.0, bounds[idx + 2] - s))]
-    nodes = np.concatenate((slope_nodes, [s + o for s, j, sign, steps in plan
-                                          for row in _numerics.offsets(j, steps, sign)
-                                          for o in row]))
+    nodes = [slope_nodes]
+    if plan:
+        # the nodes s + (sign * i) * h of every entry's stencil rows, in the
+        # operations of _numerics.offsets; rows of order j < k drop i > j
+        s, j, sign, steps = (np.array(col) for col in zip(*plan))
+        i = np.arange(k + 1)
+        stencils = s[:, None, None] + (sign[:, None] * i)[:, None, :] * steps[:, :, None]
+        nodes.append(stencils[np.broadcast_to((i <= j[:, None])[:, None, :], stencils.shape)])
+    nodes = np.concatenate(nodes)
     # a map past the float range overflows here, and is reported as such
     with np.errstate(over="ignore", invalid="ignore"):
         values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
@@ -847,10 +884,12 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
             min_slope = float(np.min(_slope_from(values[:slope_nodes.size], h)))
         if not math.isfinite(min_slope):
             raise DomainError("map values too large: the slope estimate overflows")
-    seam_values = iter(values[slope_nodes.size:].tolist())
-    estimates = [_numerics.one_sided([[next(seam_values) for _ in range(j + 1)] for _ in steps],
-                                     j, steps, sign)[0]
-                 for s, j, sign, steps in plan]
+    seam_values, at, estimates = values[slope_nodes.size:].tolist(), 0, []
+    for _, j, sign, steps in plan:
+        end = at + len(steps) * (j + 1)
+        rows = [seam_values[r:r + j + 1] for r in range(at, end, j + 1)]
+        estimates.append(_numerics.one_sided(rows, j, steps, sign)[0])
+        at = end
 
     residuals = [0.0] * k
     for n, (left, right) in enumerate(zip(estimates[::2], estimates[1::2])):
@@ -1095,8 +1134,8 @@ def chain_from_json(d: dict) -> tuple[ChainAtlas, int, Optional[float]]:
         tol = None if tol is None else float(tol)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"malformed join spec: {exc}") from exc
-    if tol is not None and tol <= 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if tol is not None and not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     return ChainAtlas(tuple(charts), tuple(transitions)), k, tol
 
 

@@ -9,7 +9,9 @@ seed mod 3, each collapsed at k = 1 and k = 2 with tol 1e-3, and for each
 seed a two-chart spec joined with join_charts at k = 2. For every case the
 dump holds the certificates, the steps and chart, the glue reports, the
 collapse_to_json payload, and every transition's domain, seams and values at
-31 interior points of its chart.
+31 interior points of its chart. Each collapse also holds the workload's
+check, evaluated a float at a time: r_i(x) and r_{i+1}(g_i(x)) at 0.25, 0.5
+and 0.75 of every overlap.
 
 It also holds the other op kinds of the chain_collapse workload, taken from
 the first 120 ops of perfbench/gen.stream("chain_collapse", s) for
@@ -43,16 +45,29 @@ from twoorigins import join  # noqa: E402
 from record_fields import record_fields  # noqa: E402
 
 
-def chain(seed: int, m: int) -> join.ChainAtlas:
+def chain(seed: int, m: int) -> tuple:
+    """The atlas of gen.chain_spec(seed, m) and its transitions' rules."""
     spec = gen.chain_spec(random.Random(seed), m)
     images = spec["images"]
     charts = tuple(join.IntervalChart(f"c{i}", img) for i, img in enumerate(images))
-    transitions = []
+    fns, transitions = [], []
     for i, (lam, mu) in enumerate(spec["params"]):
         lo, hi = images[i + 1][0], images[i][1]
-        transitions.append(join.NumericDiffeo.from_function(
-            gen.bent_map(lo, hi, lam, mu), (lo, hi), n=256))
-    return join.ChainAtlas(charts, tuple(transitions))
+        fns.append(gen.bent_map(lo, hi, lam, mu))
+        transitions.append(join.NumericDiffeo.from_function(fns[-1], (lo, hi), n=256))
+    return join.ChainAtlas(charts, tuple(transitions)), fns
+
+
+def overlap_checks(rs, atlas, fns) -> list:
+    """[r_i(x), r_{i+1}(g_i(x))] as floats at 0.25, 0.5 and 0.75 of each
+    overlap (a_{i+1}, b_i), one float at a time: the workload's own check."""
+    out = []
+    for i, fn in enumerate(fns):
+        lo, hi = atlas.transitions[i].domain
+        for t in (0.25, 0.5, 0.75):
+            x = lo + t * (hi - lo)
+            out.append([float(rs[i](x)), float(rs[i + 1](fn(x)))])
+    return out
 
 
 def maps(rs, charts) -> list:
@@ -77,7 +92,7 @@ def main(path: str) -> None:
     join.glue_auto = recorded  # join calls it through the module global
     cases = []
     for seed in range(40):
-        atlas = chain(seed, (2, 4, 8)[seed % 3])
+        atlas, fns = chain(seed, (2, 4, 8)[seed % 3])
         for k in (1, 2):
             glues.clear()
             res = join.collapse_chain(atlas, k=k, tol=1e-3)
@@ -86,9 +101,10 @@ def main(path: str) -> None:
                           "cert": res.cert.to_json(),
                           "certs": [c.to_json() for c in res.certs],
                           "glues": list(glues), "json": join.collapse_to_json(res, atlas),
-                          "maps": maps(res.transitions, atlas.charts)})
+                          "maps": maps(res.transitions, atlas.charts),
+                          "overlaps": overlap_checks(res.transitions, atlas, fns)})
     for seed in range(40):
-        atlas = chain(seed, 2)
+        atlas, _ = chain(seed, 2)
         res = join.join_charts(*atlas.charts, atlas.transitions[0], k=2)
         glue = None if res.glue is None else record_fields(res.glue)
         cases.append({"join": seed, "chart": [res.chart.label, list(res.chart.image)],

@@ -10,7 +10,7 @@ when it integrated up to c.
 
 import numpy as np
 
-from twoorigins import join
+from glue_reference import panel_integrals
 
 
 def carried_residual(g, p) -> float:
@@ -19,5 +19,5 @@ def carried_residual(g, p) -> float:
     b, c = g.domain
     xs = np.array(p.xs)
     tail = xs[xs >= p.seams[1]]
-    (cells,) = join._panel_integrals(tail[:-1], tail[1:], g.derivative_grid)
+    (cells,) = panel_integrals(tail[:-1], tail[1:], g.derivative_grid)
     return abs(float(g(tail[0])) + float(np.sum(cells)) - c) / (c - b)

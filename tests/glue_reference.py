@@ -2,16 +2,26 @@
 reference the glue tests compare the library against.
 
 join.glue_id_and_diff now evaluates alpha and beta only on the cells that a
-ramp of F, R or beta crosses and writes the exact plateau constants on the
-others; this one runs every cell through join._panel_integrals and evaluates
-the glued map through np.piecewise. The two must give the same samples, the
-same report and the same values, bit for bit.
+ramp of F, R or beta crosses, each pair of smoothstep factors only on its own
+ramp, and writes the exact plateau constants elsewhere; its glued map reads
+gamma as lambda on the middle band. This one runs every cell and every point
+through panel_integrals and evaluates the glued map through np.piecewise. The
+two must give the same samples, the same report and the same values, bit for
+bit.
 """
 
 import numpy as np
 
 from twoorigins import join
 from twoorigins.errors import DomainError, GlueInfeasible
+
+
+def panel_integrals(left, right, *fs) -> list:
+    """Fixed 4-panel composite Simpson of each array rule in fs on each
+    [left[i], right[i]], all on one set of nodes."""
+    widths = right - left
+    nodes = join._panel_nodes(left, widths)
+    return [join._panel_sums(f(nodes), widths) for f in fs]
 
 
 def glue_id_and_diff(g, eps, n: int = 4096):
@@ -46,8 +56,7 @@ def glue_id_and_diff(g, eps, n: int = 4096):
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
     i_fit = int(np.searchsorted(xs, hi_seam))
     i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(cells)))
-                       for cells in join._panel_integrals(xs[:i_fit], xs[1:i_fit + 1],
-                                                          alpha, beta))
+                       for cells in panel_integrals(xs[:i_fit], xs[1:i_fit + 1], alpha, beta))
 
     target = float(g(hi_seam))
     numerator = target - b - i_alpha[-1]
@@ -71,7 +80,7 @@ def glue_id_and_diff(g, eps, n: int = 4096):
 
     def between(t):
         i = np.searchsorted(xs, t, side="right") - 1
-        return ys[i] + join._panel_integrals(xs[i], t, gamma)[0]
+        return ys[i] + panel_integrals(xs[i], t, gamma)[0]
 
     def p_call(x):
         return np.piecewise(x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],

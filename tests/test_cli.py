@@ -2,7 +2,10 @@
 
 import ast
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -17,6 +20,8 @@ from twoorigins.join import NumericDiffeo
 from twoorigins.realnum import to_real
 
 import groups
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def wa_json(a):
@@ -654,6 +659,41 @@ def test_join_malformed_spec_field_is_input_error(write, change, capsys):
     assert run(["join", write("spec.json", spec)]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert err.startswith("input error: ") and "malformed join spec" in err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("where", ["join", "verify", "spec"])
+def test_non_finite_tolerance_is_input_error(write, where, bad, capsys):
+    # NaN would pass a test of t <= 0 and fail every certificate; inf would
+    # pass every one
+    if where == "verify":
+        argv = ["verify", write("map.json", sampled(bent, 1.0, 2.0, n=65)), "--tol", bad]
+    elif where == "join":
+        argv = ["join", write("spec.json", join_spec(bent, k=1)), "--tol", bad]
+    else:
+        argv = ["join", write("spec.json", dict(join_spec(bent, k=1), tol=bad))]
+    assert run(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "finite and positive" in captured.err
+
+
+@pytest.mark.parametrize("k, code", [(1, EXIT_OK), (2, EXIT_NEGATIVE)])
+def test_closed_stdout_keeps_the_exit_code(write, tmp_path, k, code):
+    # the reader closes the pipe before the command writes: no traceback, no
+    # internal error, and the code the same run gives into a file
+    argv = [sys.executable, "-m", "twoorigins.cli", "join",
+            write("spec.json", join_spec(bent, k=k, tol=1e-3)), "--json"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    with open(tmp_path / "out.json", "w", encoding="utf-8") as out:
+        assert subprocess.run(argv, stdout=out, env=env, check=False).returncode == code
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == code
+    assert err == b""
 
 
 def test_join_disjoint_charts_not_joinable(write, capsys):

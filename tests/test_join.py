@@ -332,6 +332,21 @@ def test_numeric_diffeo_inverse_rounds_one_way():
     assert np.all(fn(np.nextafter(xs, -np.inf)) < ys)
 
 
+def test_numeric_diffeo_inverse_meets_its_contract_on_a_rule_not_monotone_in_floats():
+    # near x = 0 this rule's floats are far finer than its values, so it
+    # crosses some y at several floats and equals others at runs of floats:
+    # the answer need not be the first float from the cell's end a. It is a
+    # float reaching y whose neighbour toward a falls short, or, where the
+    # loop runs out of passes stepping along such a run, a float of the run.
+    # The map decreases, so a is the cell's larger end
+    fn = lambda x: 2.0 - x - 0.3 * x * (1.0 - x)  # noqa: E731
+    d = NumericDiffeo.from_function(fn, (0.0, 1.0))
+    ys = np.linspace(1.0, 2.0, 5003)[1:-1]
+    xs = d.inverse()(ys)
+    assert np.all(fn(xs) >= ys)
+    assert np.all((fn(np.nextafter(xs, np.inf)) < ys) | (fn(xs) == ys))
+
+
 def test_numeric_diffeo_inverse_matches_the_cell_end_reference_bit_for_bit():
     # the inverse starts from a bracket around the samples' secant; the
     # reference starts every solve from the cell's ends. Each rule here is
@@ -576,9 +591,21 @@ def test_glue_seam_one_ulp_from_a_grid_node():
 
 
 def test_glue_matches_the_all_cells_reference_bit_for_bit():
-    # the glue evaluates alpha and beta only on the cells a ramp crosses;
-    # the reference evaluates them on every cell
+    # the glue evaluates each pair of gamma's factors only on the cells its
+    # ramp crosses, and p reads gamma as lam on the middle band; the
+    # reference evaluates every factor on every cell and at every point
     cases = [(x2_diffeo(), 0.1, 4096), (x2_diffeo(), 0.2, 1001), (x2_diffeo(), None, 4096)]
+    r = random.Random(27)
+    for frac in (0.24, 0.2499):
+        for n in (4096, 4093, 1001, 16, 21):
+            # the two ramps' cells overlap, and the middle band holds at most
+            # a few samples; on the coarse grids a cell spans a good part of
+            # a ramp, where a factor read as its plateau constant shows
+            lo = r.uniform(-1.0, 1.0)
+            hi = lo + r.uniform(0.3, 0.6)
+            cases.append((bent_diffeo(lo, hi, *gen.transition_params(r)), frac * (hi - lo), n))
+    for frac, n in ((0.1, 16), (0.15, 21), (0.2, 40)):
+        cases.append((bent_diffeo(0.25, 0.875, 0.3, -0.1), frac * 0.625, n))
     for seed in range(10):
         spec = gen.chain_spec(random.Random(seed), 2)
         overlap = (spec["images"][1][0], spec["images"][0][1])
@@ -606,8 +633,15 @@ def test_glue_matches_the_all_cells_reference_bit_for_bit():
                 seen.append(x.size), g.underlying(x))[1])
             p = lib.glue_auto(counted, n=n) if eps is None else \
                 lib.glue_id_and_diff(counted, eps, n=n)
+            # the middle band's ends and samples, and points of each band
+            e = p.glue.eps
+            b2, c2 = b + 2 * e, c - 2 * e
+            band = np.array([b2, c2] + [x for x in p.xs if b2 <= x <= c2])
+            ends = [b - e, b, b + e, b2, c2, c - e, c, c + e]
+            scalars = [float(x) for lo, hi in zip(ends, ends[1:]) for x in np.linspace(lo, hi, 5)]
             # t[:20] lies below b, so only the identity branch holds points
-            glued.append((p.xs, p.ys, record_fields(p.glue), p(t).tolist(), p(t[:20]).tolist()))
+            glued.append((p.xs, p.ys, record_fields(p.glue), p(t).tolist(), p(t[:20]).tolist(),
+                          p(band).tolist(), [p(x) for x in scalars]))
             calls.append(seen)
         assert glued[0] == glued[1]
         assert calls[0] == calls[1]
@@ -617,6 +651,29 @@ def test_glue_matches_the_all_cells_reference_bit_for_bit():
     # every row count mod 4 that a BLAS product rounds by its own path
     assert halved >= 3
     assert fitted_cells == {0, 1, 2, 3}
+
+
+def test_glued_map_on_its_middle_band_evaluates_no_factor(monkeypatch):
+    # on [b + 2 eps, c - 2 eps] gamma is lam: p reads it without g's rule
+    # or any smoothstep
+    g = bent_diffeo(0.3, 0.75, 0.3, -0.1)
+    seen = []
+    counted = NumericDiffeo(g.xs, g.ys, underlying=lambda x: (seen.append(x.size),
+                                                              g.underlying(x))[1])
+    p = glue_id_and_diff(counted, 0.05, n=1001)
+    b2, c2 = 0.3 + 2 * 0.05, 0.75 - 2 * 0.05
+    band = np.array([x for x in p.xs if b2 <= x <= c2])
+    points = np.concatenate((band, 0.5 * (band[1:] + band[:-1])))
+
+    def no_factor(t):
+        raise AssertionError("a smoothstep factor was evaluated")
+
+    monkeypatch.setattr(join_mod, "_smoothstep_arr", no_factor)
+    seen.clear()
+    values = p(points)
+    assert [p(x) for x in points[::50].tolist()] == values[::50].tolist()
+    assert seen == []
+    assert np.all(np.diff(values[:band.size]) > 0.0)
 
 
 # -- certification --------------------------------------------------------------
