@@ -4,7 +4,11 @@ A j-th derivative from one side of s is read off the forward (or backward)
 difference quotients taken at a halving sequence of steps and extrapolated
 in a Neville tableau. Callers evaluate the stencil nodes themselves (one at
 a time, or all at once as an array), so this module only builds the nodes
-and combines the values. It imports no numpy, which keeps germs numpy-free.
+and combines the values: one_sided forms the quotients from stencil values
+and extrapolates them, and extrapolate runs the tableau alone on quotients a
+caller has formed with one_sided's operations (a join certificate forms all
+of its quotients in one array pass). It imports no numpy, which keeps germs
+numpy-free.
 """
 
 from __future__ import annotations
@@ -38,11 +42,9 @@ def one_sided(rows, j: int, steps, sign: float) -> tuple:
 
     rows[l][i] is f at the node offsets(j, steps, sign)[l][i]; sign=+1 reads
     the derivative from the right, sign=-1 from the left. Returns
-    (value, err, raw) where raw are the difference quotients per step. The
-    base quotient has a full h, h^2, ... error series, so tableau level m
-    divides out 2^m - 1; the entry with the smallest disagreement against its
-    neighbours wins, so rounding noise at the finest steps cannot mask an
-    earlier converged region.
+    (value, err, raw) where raw are the difference quotients per step, each
+    sum_i w[j][i] * rows[l][i] accumulated from 0.0 in order of i and divided
+    by (sign * steps[l]) ** j, and (value, err) is extrapolate(raw).
     """
     weights = _WEIGHTS[j]
     raw = []
@@ -51,17 +53,37 @@ def one_sided(rows, j: int, steps, sign: float) -> tuple:
         for w, v in zip(weights, row):
             acc += w * v
         raw.append(acc / (sign * h) ** j)
+    best_val, best_err = extrapolate(raw)
+    return best_val, best_err, raw
+
+
+def extrapolate(raw) -> tuple:
+    """(value, err) of the Neville tableau over the quotients raw, taken at
+    halving steps.
+
+    The base quotient has a full h, h^2, ... error series, so tableau level
+    m divides out 2^m - 1; the entry with the smallest disagreement against
+    its neighbours wins, so rounding noise at the finest steps cannot mask an
+    earlier converged region. An entry's disagreement max(e1, e2) is at least
+    e1, so e2 is only computed where e1 could still win; a NaN disagreement
+    never wins.
+    """
     best_val, best_err = raw[0], math.inf
     above: list = []
     for q in raw:
         row = [q]
+        append = row.append
         for prev, fac, div in zip(above, _LEVEL_FAC, _LEVEL_DIV):
             val = (fac * q - prev) / div
-            e1, e2 = abs(val - q), abs(val - prev)
-            errt = e2 if e2 > e1 else e1  # max(e1, e2), NaN included
-            if errt < best_err:
-                best_err, best_val = errt, val
-            row.append(val)
+            e1 = abs(val - q)
+            if e1 < best_err:
+                e2 = abs(val - prev)
+                if e2 > e1:
+                    e1 = e2
+                if e1 < best_err:
+                    best_err = e1
+                    best_val = val
+            append(val)
             q = val
         above = row
-    return best_val, best_err, raw
+    return best_val, best_err

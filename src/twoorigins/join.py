@@ -55,6 +55,12 @@ _SLOPE_GRID = 32
 _GLUE_RETRIES = 6
 #: Interior points at which collapse_to_json samples each transition.
 _JSON_SAMPLES = 65
+#: Passes in a row from a root on which the inverse steps one float before
+#: its steps double: short runs of roots, the common case, cost what they
+#: cost with one-float steps, and long ones a logarithmic number of passes.
+_ROOT_WALK = 4
+#: Levels of the halving steps, and so of the tableau, of each seam estimate.
+_CERT_LEVELS = 12
 
 
 # ---------------------------------------------------------------------------
@@ -82,14 +88,21 @@ def _array_rule(fn: Callable, probe: np.ndarray) -> Callable:
     return lambda xs: np.array([float(fn(x)) for x in xs])
 
 
+@functools.cache
+def _slope_offsets() -> np.ndarray:
+    """The central stencil's node offsets in steps, one row per node (x + 2h,
+    x + h, x - h, x - 2h); an array, built on first use."""
+    return np.array([[2.0], [1.0], [-1.0], [-2.0]])
+
+
 def _slope_nodes(xs: np.ndarray, lo: float, hi: float) -> tuple:
     """The nodes of the 4th-order central first-derivative stencil at xs
-    inside (lo, hi), four per point, and the steps, which shrink near the
-    ends of the interval."""
+    inside (lo, hi), four per point, row by row, and the steps, which shrink
+    near the ends of the interval."""
     span = hi - lo
     h = np.maximum(np.minimum(np.minimum(1e-5 * span, (xs - lo) / 2.5), (hi - xs) / 2.5),
                    1e-12 * span)
-    return np.concatenate((xs + 2 * h, xs + h, xs - h, xs - 2 * h)), h
+    return (xs + _slope_offsets() * h).ravel(), h
 
 
 def _slope_from(values: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -282,7 +295,7 @@ def _piecewise(out: np.ndarray, xs: np.ndarray, masks: list, fns) -> np.ndarray:
     on a non-empty mask. Points no mask holds keep out's values: zeros, or
     a copy of xs where np.piecewise's last function is the identity."""
     for mask, fn in zip(masks, fns):
-        if mask.any():
+        if np.count_nonzero(mask):
             out[mask] = fn(xs[mask])
     return out
 
@@ -296,8 +309,8 @@ class PiecewiseMonotone(Record, eq=False):
     interior breakpoint (continuity), and the samples in order must not
     decrease (a spot check of strict monotonicity). The seams are the
     interior breakpoints plus any extras the builder knows about (e.g.
-    images of seams of an ingredient map). The breakpoints are also kept as
-    an array, which each call searches.
+    images of seams of an ingredient map). The interior breakpoints are also
+    kept as an array, which each call searches for its points' pieces.
     """
 
     breakpoints: tuple
@@ -330,7 +343,7 @@ class PiecewiseMonotone(Record, eq=False):
         setfield(self, "breakpoints", bps)
         setfield(self, "pieces", pieces)
         setfield(self, "extra_seams", extra_seams)
-        setfield(self, "_bps", np.array(bps))
+        setfield(self, "_inner", np.array(bps[1:-1]))
 
     @property
     def domain(self) -> tuple:
@@ -343,8 +356,7 @@ class PiecewiseMonotone(Record, eq=False):
 
     @_pointwise
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        which = self._bps.searchsorted(xs, side="right") - 1
-        which = np.minimum(np.maximum(which, 0), len(self.pieces) - 1)
+        which = self._inner.searchsorted(xs, side="right")  # the end pieces extend
         return _piecewise(np.zeros(xs.shape), xs, [which == i for i in range(len(self.pieces))],
                           self.pieces)
 
@@ -471,58 +483,86 @@ class NumericDiffeo(Record, eq=False):
         x with fwd(x) >= y whose neighbouring float toward a has fwd < y: on
         a rule monotone in floats, the first float from a toward b with
         fwd(x) >= y, so the inverse rounds one way everywhere and seam
-        certificates see no ulp jitter. From a root the loop steps toward a
-        one float per pass, so where the rule equals y at more consecutive
-        floats than it has passes left, x is one of those floats, with
-        fwd(x) = y. Elsewhere the rule and the samples disagree about y's
-        cell, and the end the rule puts on y's side stands: a where
+        certificates see no ulp jitter; where fwd equals y on a run of
+        floats, the steps from a root gallop, so the run costs a logarithmic
+        number of passes. Elsewhere the rule and the samples disagree about
+        y's cell, and the end the rule puts on y's side stands: a where
         fwd(a) >= y, else b.
         """
         up = self.increasing
         xs, ys = (self._x, self._y) if up else (self._x[::-1], self._y[::-1])
-        fwd, last = self._rule, len(ys) - 1
+        fwd, inner = self._rule, ys[1:-1]
+        # one column per cell: its ends a and b, fwd's sample at a, the
+        # secant factor of the samples and the seed's half-width, a
+        # thousandth of the cell (samples past the float range overflow here)
+        with np.errstate(over="ignore", invalid="ignore"):
+            width = xs[1:] - xs[:-1]
+            cells = np.array((xs[:-1], xs[1:], ys[:-1], width / (ys[1:] - ys[:-1]), 1e-3 * width))
+        lo, hi = (0, 1) if up else (1, 0)  # the rows of the cell's smaller and larger end
 
         def inv(y: np.ndarray) -> np.ndarray:
             y = np.minimum(np.maximum(y, ys[0]), ys[-1])
-            i = np.minimum(np.maximum(ys.searchsorted(y), 1), last)
-            a, b, ya, yb = xs[i - 1], xs[i], ys[i - 1], ys[i]
-            # the seed: a thousandth of the cell on either side of the secant
-            # of the samples, clipped to the cell (fmax and fmin clip a NaN
-            # from samples past the float range to an end)
-            step = b - a
-            lo, hi = (a, b) if up else (b, a)
+            cell = cells[:, inner.searchsorted(y)]  # the end cells hold the clipped ends
+            ya, secant, half = cell[2:]
+            # the seed: the half-width on either side of the secant, clipped
+            # to the cell (fmax and fmin clip a NaN from samples past the
+            # float range to an end)
             with np.errstate(over="ignore", invalid="ignore"):
-                x = a + (y - ya) * (step / (yb - ya))
-                sa = np.fmin(np.fmax(x - 1e-3 * step, lo), hi)
-                sb = np.fmin(np.fmax(x + 1e-3 * step, lo), hi)
+                x = cell[0] + (y - ya) * secant
+                sa = np.fmin(np.fmax(x - half, cell[lo]), cell[hi])
+                sb = np.fmin(np.fmax(x + half, cell[lo]), cell[hi])
+            a, b = cell[:2]
             fa, fb, fsa, fsb = np.asarray(fwd(np.concatenate((a, b, sa, sb))),
                                           dtype=float).reshape(4, -1) - y
             # Illinois regula falsi while fwd(a) < y <= fwd(b) and a and b are
             # not neighbouring floats: an end kept twice in a row has its
             # residual halved, so both ends close in. The seed replaces the
             # cell only where both straddle y. Every pass runs on all points
-            # and moves only the live ones.
+            # and moves only the live ones; a single point runs in Python
+            # floats.
             seed = (fa < 0.0) & (fb >= 0.0) & (fsa < 0.0) & (fsb >= 0.0)
             a, b = np.where(seed, sa, a), np.where(seed, sb, b)
             fa, fb = np.where(seed, fsa, fa), np.where(seed, fsb, fb)
+            if len(y) == 1:
+                return np.array([_illinois_one(fwd, float(y[0]), float(a[0]), float(b[0]),
+                                               float(fa[0]), float(fb[0]))])
             a_last = b_last = np.zeros(len(y), dtype=bool)  # which end moved last
+            # passes in a row on which b was a root, per point and for any point
+            streak = no_streak = np.zeros(len(y), dtype=int)
+            run = 0
             for _ in range(100):  # cells shrink to adjacent floats well before
                 # the points at rest may divide 0 by 0 here; the masks drop them
-                with np.errstate(divide="ignore", invalid="ignore"):
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     mid = 0.5 * (a + b)
                     live = (fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0)
-                    if not live.any():
+                    if not np.count_nonzero(live):
                         break
                     x = b - fb * (b - a) / (fb - fa)
                     x = np.where((x - a) * (x - b) < 0.0, x, mid)
-                    x = np.where(fb == 0.0, np.nextafter(b, a), x)  # b is a root: step down
+                    root = fb == 0.0
+                    if np.count_nonzero(root):
+                        # from a root b step toward a: one float on each of
+                        # the first _ROOT_WALK passes in a row from a root,
+                        # then twice as far on each further one, or to mid
+                        # where that leaves (a, b), so a long run of roots
+                        # costs a logarithmic number of passes
+                        streak, run = (streak + 1) * root, run + 1
+                        step = np.nextafter(b, a)
+                        if run > _ROOT_WALK and np.count_nonzero(streak > _ROOT_WALK):
+                            far = b + np.ldexp(step - b, streak - _ROOT_WALK)
+                            far = np.where((far - a) * (far - b) < 0.0, far, mid)
+                            step = np.where(streak > _ROOT_WALK, far, step)
+                        x = np.where(root, step, x)
+                    else:
+                        streak, run = no_streak, 0
                 fx = np.asarray(fwd(x), dtype=float) - y
                 low = fx < 0.0
-                new_a, new_b = live & low, live & ~low
+                high = ~low
+                new_a, new_b = live & low, live & high
                 a, b = np.where(new_a, x, a), np.where(new_b, x, b)
                 fa, fb = (np.where(new_a, fx, np.where(new_b & b_last, 0.5 * fa, fa)),
                           np.where(new_b, fx, np.where(new_a & a_last, 0.5 * fb, fb)))
-                a_last, b_last = low, ~low
+                a_last, b_last = low, high
             return np.where(fa >= 0.0, a, b)
 
         inv_seams = tuple(sorted(float(self(s)) for s in self.seams))
@@ -544,6 +584,43 @@ class NumericDiffeo(Record, eq=False):
         except (KeyError, TypeError, ValueError) as exc:
             raise DomainError(f"malformed samples JSON: {exc}") from exc
         return cls(tuple(x for x, _ in pts), tuple(y for _, y in pts), seams=seams)
+
+
+def _illinois_one(fwd: Callable, y: float, a: float, b: float, fa: float, fb: float) -> float:
+    """The Illinois passes of NumericDiffeo.inverse for one point, in Python
+    floats: the same operations in the same order, so the same bits, with
+    fwd called on the same one-element arrays, at a fraction of the cost of
+    numpy's calls on arrays of one element. fa and fb are fwd(a) - y and
+    fwd(b) - y."""
+    a_last = b_last = False
+    streak = 0  # passes in a row on which b was a root
+    for _ in range(100):
+        mid = 0.5 * (a + b)
+        if not (fa < 0.0 and fb >= 0.0 and (mid - a) * (mid - b) < 0.0):
+            break
+        x = b - fb * (b - a) / (fb - fa)
+        if not (x - a) * (x - b) < 0.0:
+            x = mid
+        if fb == 0.0:
+            streak += 1
+            x = math.nextafter(b, a)
+            if streak > _ROOT_WALK:
+                far = b + (x - b) * 2.0 ** (streak - _ROOT_WALK)
+                x = far if (far - a) * (far - b) < 0.0 else mid
+        else:
+            streak = 0
+        fx = float(np.asarray(fwd(np.array([x])), dtype=float)[0]) - y
+        if fx < 0.0:
+            a, fa = x, fx
+            if a_last:
+                fb = 0.5 * fb
+            a_last, b_last = True, False
+        else:
+            b, fb = x, fx
+            if b_last:
+                fa = 0.5 * fa
+            a_last, b_last = False, True
+    return a if fa >= 0.0 else b
 
 
 # ---------------------------------------------------------------------------
@@ -591,18 +668,23 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
         is its live factors' product, and g' is read only where R is
         nonzero."""
         out, on_beta = np.zeros(t.shape), np.ones(t.shape)
-        ramp = t[:head]
-        out[:head] = _smoothstep_arr((F.r0 - ramp) / (F.r0 - F.r1))
-        on_beta[:head] = _smoothstep_arr((ramp - beta.l0) / (beta.l1 - beta.l0))
-        ramp = t[tail:]
-        r = _smoothstep_arr((ramp - R.l0) / (R.l1 - R.l0))
+        left_ramp, right_ramp = t[:head], t[tail:]
+        # the smoothstep works point by point, so one call on the four
+        # factors' arguments gives each factor its own values
+        at = 2 * head + right_ramp.size
+        s = _smoothstep_arr(np.concatenate(((F.r0 - left_ramp) / (F.r0 - F.r1),
+                                            (left_ramp - beta.l0) / (beta.l1 - beta.l0),
+                                            (right_ramp - R.l0) / (R.l1 - R.l0),
+                                            (beta.r0 - right_ramp) / (beta.r0 - beta.r1))))
+        out[:head], on_beta[:head] = s[:head], s[head:2 * head]
+        r = s[2 * head:at]
         live = r.nonzero()[0]
         if live.size:
-            gp = g.derivative_grid(ramp[live])
-            if (gp <= 0.0).any():
+            gp = g.derivative_grid(right_ramp[live])
+            if np.count_nonzero(gp <= 0.0):
                 raise DomainError("transition derivative is not positive on the grid")
             out[tail + live] += r[live] * gp
-        on_beta[tail:] *= _smoothstep_arr((beta.r0 - ramp) / (beta.r0 - beta.r1))
+        on_beta[tail:] *= s[at:]
         return out, on_beta
 
     # a grid node within rounding (1e-12 of the scale) of a seam would leave
@@ -669,10 +751,9 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
         i = xs.searchsorted(t, side="right") - 1
         left = xs[i]
         widths = t - left
-        off = (left < b2) | (left + widths > c2)
+        off = ((left < b2) | (left + widths > c2)).nonzero()[0]
         rows = np.full((t.size, 9), lam)
-        if off.any():
-            off = off.nonzero()[0]
+        if off.size:
             on_alpha, on_beta = integrand(_panel_nodes(left[off], widths[off]), 9 * off.size, 0)
             rows[off] = (on_alpha + lam * on_beta).reshape(-1, 9)
         return ys[i] + _panel_sums(rows, widths)
@@ -830,6 +911,22 @@ def _tolerances(k: int, tol) -> tuple:
     return tols
 
 
+@functools.cache
+def _halvings() -> np.ndarray:
+    """2.0 ** level for the tableau levels, the divisors of
+    _numerics.halving; an array, built on first use."""
+    return np.array([2.0 ** level for level in range(_CERT_LEVELS)])
+
+
+@functools.cache
+def _weight_table() -> np.ndarray:
+    """_numerics' stencil weights, row j padded with zeros to ORDER_CAP + 1;
+    an array, built on first use."""
+    cap = _numerics.ORDER_CAP
+    return np.array([w + (0,) * (cap - j) for j, w in enumerate(_numerics._WEIGHTS)],
+                    dtype=float)
+
+
 def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     """Numeric order-k certificate for a monotone map with seams.
 
@@ -837,40 +934,50 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     must agree within the per-order tolerance (relative to max(1, |value|)),
     and no first-derivative estimate anywhere (seams or the dyadic interior
     grid) may be significantly negative: slope > -tol_1, which deliberately
-    admits maps with a vanishing one-sided slope at a seam. Failures are
-    reported, never raised; values that overflow, or are so large that the
-    grid slope overflows, raise DomainError.
+    admits maps with a vanishing one-sided slope at a seam. A seam listed
+    twice is read once. Failures are reported, never raised; a seam step
+    whose power in a quotient underflows to 0 (seams a few floats apart) or
+    overflows, values that overflow, or values so large that the grid slope
+    overflows, raise DomainError.
 
     The map is called once: on the four central-stencil nodes of each of the
     31 interior grid points and on the one-sided stencil nodes of every
-    order at both sides of every seam, together.
+    order at both sides of every seam, together. The estimates are
+    _numerics.one_sided's: the difference quotients are formed for every
+    seam, order and side in one array pass, with one_sided's operations in
+    its order, and each row is extrapolated by _numerics.extrapolate.
     """
     tols = _tolerances(k, tol)
     lo, hi = map_obj.domain
     span = hi - lo
-    seams = sorted(s for s in getattr(map_obj, "seams", ()) if lo < s < hi)
+    seams = sorted({s for s in getattr(map_obj, "seams", ()) if lo < s < hi})
 
     # grid slopes, nudged off any seam
     grid = lo + span * np.arange(1, _SLOPE_GRID) / _SLOPE_GRID
     if seams:
-        near = np.min(np.abs(grid[:, None] - np.array(seams)), axis=1) < span / (4 * _SLOPE_GRID)
+        bounds = np.array([lo] + seams + [hi])
+        s = bounds[1:-1]
+        near = np.abs(grid[:, None] - s).min(axis=1) < span / (4 * _SLOPE_GRID)
         grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
     slope_nodes, h = _slope_nodes(grid[(lo < grid) & (grid < hi)], lo, hi)
 
-    # one-sided estimates of orders 1..k on both sides of every seam; plan
-    # holds (left, right) pairs
-    bounds = [lo] + seams + [hi]
-    plan = [(s, j, sign, _numerics.halving(0.8 * gap / j, 12))
-            for idx, s in enumerate(seams) for j in range(1, k + 1)
-            for sign, gap in ((-1.0, s - bounds[idx]), (1.0, bounds[idx + 2] - s))]
     nodes = [slope_nodes]
-    if plan:
+    if seams:
+        # one-sided estimates of orders 1..k on both sides of every seam:
+        # entry e is (seam, order j, side) in that order, the left side
+        # first, with the steps of _numerics.halving(0.8 * gap / j)
+        gaps = bounds[1:] - bounds[:-1]
+        h0 = 0.8 * np.array((gaps[:-1], gaps[1:])).T[:, None, :] / np.arange(1, k + 1)[:, None]
+        steps = h0.reshape(-1, 1) / _halvings()
+        e = np.arange(len(steps))
+        s, j, sign = s.repeat(2 * k), e // 2 % k + 1, e % 2 * 2.0 - 1.0
         # the nodes s + (sign * i) * h of every entry's stencil rows, in the
         # operations of _numerics.offsets; rows of order j < k drop i > j
-        s, j, sign, steps = (np.array(col) for col in zip(*plan))
         i = np.arange(k + 1)
         stencils = s[:, None, None] + (sign[:, None] * i)[:, None, :] * steps[:, :, None]
-        nodes.append(stencils[np.broadcast_to((i <= j[:, None])[:, None, :], stencils.shape)])
+        used = np.empty(stencils.shape, dtype=bool)
+        used[:] = (i <= j[:, None])[:, None, :]
+        nodes.append(stencils[used])
     nodes = np.concatenate(nodes)
     # a map past the float range overflows here, and is reported as such
     with np.errstate(over="ignore", invalid="ignore"):
@@ -881,15 +988,33 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     min_slope = math.inf
     if h.size:
         with np.errstate(over="ignore", invalid="ignore"):
-            min_slope = float(np.min(_slope_from(values[:slope_nodes.size], h)))
+            min_slope = float(_slope_from(values[:slope_nodes.size], h).min())
         if not math.isfinite(min_slope):
             raise DomainError("map values too large: the slope estimate overflows")
-    seam_values, at, estimates = values[slope_nodes.size:].tolist(), 0, []
-    for _, j, sign, steps in plan:
-        end = at + len(steps) * (j + 1)
-        rows = [seam_values[r:r + j + 1] for r in range(at, end, j + 1)]
-        estimates.append(_numerics.one_sided(rows, j, steps, sign)[0])
-        at = end
+    estimates = []
+    if seams:
+        # one_sided's denominators (sign * h) ** j, in Python floats; a step
+        # that underflows to 0 or overflows leaves no quotient
+        try:
+            dens = [[(sg * step) ** jj for step in row]
+                    for sg, jj, row in zip(sign.tolist(), j.tolist(), steps.tolist())]
+        except OverflowError:
+            raise DomainError("seam steps too large: a difference quotient overflows") from None
+        if any(0.0 in row for row in dens):
+            raise DomainError("seams too close: a difference quotient's step underflows")
+        # each quotient is 0.0 + w_0 v_0 + ... + w_j v_j, left to right, over
+        # its denominator: one_sided's sum. The padded terms add 0.0 to a sum
+        # that is never -0.0, so they change no bit, and numpy's overflow
+        # and invalid results are what Python's floats give
+        rows = np.zeros(stencils.shape)
+        rows[used] = values[slope_nodes.size:]
+        weights = _weight_table()[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = 0.0 + weights[:, None, 0] * rows[:, :, 0]
+            for col in range(1, k + 1):
+                acc = acc + weights[:, None, col] * rows[:, :, col]
+            raw = acc / np.array(dens)
+        estimates = [_numerics.extrapolate(q)[0] for q in raw.tolist()]
 
     residuals = [0.0] * k
     for n, (left, right) in enumerate(zip(estimates[::2], estimates[1::2])):

@@ -19,7 +19,8 @@ s = 0-9 and built as the workload builds them: 100 glue_steep glues, whose
 steep transitions make glue_auto halve eps at least once (the thinnest
 plateau bands), each with its glue report, a digest of its samples and its
 values at 31 interior points; and 100 verify_smooth and 100 verify_corner
-certificates.
+certificates, each at the op's order and again at orders 3 and 4, so that
+every order a certificate reaches is covered.
 
 Floats are written by repr, so two trees that compute the same bits write
 the same bytes: run it on both and cmp. When they differ, --diff prints
@@ -128,7 +129,9 @@ def main(path: str) -> None:
                       else gen.corner_map(op["seam"], op["c"]))
                 d = join.NumericDiffeo.from_function(fn, (lo, hi), n=256, seams=(op["seam"],))
                 cases.append({op["kind"]: [seed, op["id"]],
-                              "cert": join.verify_ck_numeric(d, op["k"]).to_json()})
+                              "cert": join.verify_ck_numeric(d, op["k"]).to_json(),
+                              "higher": [join.verify_ck_numeric(d, k).to_json()
+                                         for k in (3, 4)]})
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(cases, fh, sort_keys=True)
         fh.write("\n")

@@ -2,9 +2,10 @@
 reference the numerics tests compare the library against.
 
 It builds each tableau row in an indexed loop, computes 2.0**m and
-2.0**m - 1.0 at every level and takes the disagreement with max(). The
-library keeps the same operations in the same order, so the two must give
-the same value, err and raw to the bit, NaN and infinities included.
+2.0**m - 1.0 at every level and takes the disagreement with max() at every
+entry. The library keeps the same operations in the same order, so the two
+must give the same value, err and raw to the bit, NaN and infinities
+included; extrapolate here is the tableau alone, as _numerics.extrapolate is.
 """
 
 import math
@@ -20,6 +21,11 @@ def one_sided(rows, j: int, steps, sign: float) -> tuple:
         for w, v in zip(_WEIGHTS[j], row):
             acc += w * v
         raw.append(acc / (sign * h) ** j)
+    return extrapolate(raw) + (raw,)
+
+
+def extrapolate(raw) -> tuple:
+    """(value, err) exactly as _numerics.extrapolate defines them."""
     tableau: list[list[float]] = []
     best_val, best_err = raw[0], math.inf
     for q in raw:
@@ -32,4 +38,4 @@ def one_sided(rows, j: int, steps, sign: float) -> tuple:
             if errt < best_err:
                 best_err, best_val = errt, row[m]
         tableau.append(row)
-    return best_val, best_err, raw
+    return best_val, best_err

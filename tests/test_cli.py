@@ -722,6 +722,26 @@ def test_verify_json_payload(write, capsys):
     assert payload["order"] == 2
 
 
+def test_verify_reads_a_repeated_seam_once(write, capsys):
+    fn = lambda x: x + 0.1 * x * x  # noqa: E731
+    outs = []
+    for seams in ((0.5, 0.5), (0.5,)):
+        assert run(["verify", write("map.json", sampled(fn, 0.0, 1.0, n=65, seams=seams)),
+                    "--k", "1", "--json"]) == EXIT_OK
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_verify_seams_one_float_apart_are_one_input_error_line(write, capsys):
+    # the halved step between 0.0 and the least subnormal underflows to 0
+    entry = sampled(lambda x: x + 0.1 * x * x, -1.0, 1.0, n=65, seams=(0.0, 5e-324))
+    assert run(["verify", write("map.json", entry), "--k", "1"]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: seams too close")
+    assert captured.err.count("\n") == 1
+
+
 def test_verify_slope_overflow_is_input_error(write, capsys):
     path = write("huge.json", {"samples": [[i, -1e308 + 4e307 * i] for i in range(5)]})
     assert run(["verify", path, "--k", "1", "--json"]) == EXIT_INPUT

@@ -335,16 +335,19 @@ def test_numeric_diffeo_inverse_rounds_one_way():
 def test_numeric_diffeo_inverse_meets_its_contract_on_a_rule_not_monotone_in_floats():
     # near x = 0 this rule's floats are far finer than its values, so it
     # crosses some y at several floats and equals others at runs of floats:
-    # the answer need not be the first float from the cell's end a. It is a
-    # float reaching y whose neighbour toward a falls short, or, where the
-    # loop runs out of passes stepping along such a run, a float of the run.
+    # the answer need not be the first float from the cell's end a, but it
+    # is a float reaching y whose neighbour toward a falls short. Stepping
+    # from a root gallops along such a run, so the call ends in few passes.
     # The map decreases, so a is the cell's larger end
     fn = lambda x: 2.0 - x - 0.3 * x * (1.0 - x)  # noqa: E731
-    d = NumericDiffeo.from_function(fn, (0.0, 1.0))
+    calls = []
+    d = NumericDiffeo.from_function(lambda x: (calls.append(x.size), fn(x))[1], (0.0, 1.0))
     ys = np.linspace(1.0, 2.0, 5003)[1:-1]
+    calls.clear()
     xs = d.inverse()(ys)
+    assert len(calls) < 40
     assert np.all(fn(xs) >= ys)
-    assert np.all((fn(np.nextafter(xs, np.inf)) < ys) | (fn(xs) == ys))
+    assert np.all(fn(np.nextafter(xs, np.inf)) < ys)
 
 
 def test_numeric_diffeo_inverse_matches_the_cell_end_reference_bit_for_bit():
@@ -372,6 +375,25 @@ def test_numeric_diffeo_inverse_matches_the_cell_end_reference_bit_for_bit():
                                  0.5 * (ys[1:] + ys[:-1]), r.uniform(lo, hi, 500),
                                  [lo, hi, lo - 1.0, hi + 1.0, lo - 1e-300, hi + 1e-9]))
         assert d.inverse()(points).tolist() == inverse_reference.inverse(d)(points).tolist()
+
+
+def test_numeric_diffeo_inverse_of_one_point_matches_the_array_solve_bit_for_bit():
+    # one point runs the Illinois passes in Python floats, more points run
+    # them in numpy; each rule here works point by point, so every point's
+    # answer is the same bits either way, galloping along a run of roots
+    # (2 - x - 0.3 x (1 - x) near x = 0) included
+    xs = np.linspace(1.0, 2.0, 33)
+    maps = [NumericDiffeo.from_function(lambda x: 2.0 - x - 0.3 * x * (1.0 - x), (0.0, 1.0)),
+            bent_diffeo(4.796875, 5.28125, 0.3, -0.1),
+            NumericDiffeo.from_function(gen.steep_map(0.25, 1.5, 20, 0.01), (0.25, 1.5), n=512),
+            NumericDiffeo(xs, 1.0 + (xs - 1.0) ** 2)]
+    for d in maps:
+        lo, hi = sorted((d.ys[0], d.ys[-1]))
+        ys = np.array(d.ys)
+        points = np.concatenate((np.linspace(lo, hi, 1201), 0.5 * (ys[1:] + ys[:-1]),
+                                 np.nextafter(ys, np.inf), [lo - 1.0, hi + 1.0]))
+        inv = d.inverse()
+        assert [inv(np.array([y]))[0] for y in points.tolist()] == inv(points).tolist()
 
 
 def test_numeric_diffeo_keeps_its_own_samples():
@@ -730,6 +752,61 @@ def test_verify_rejects_a_grid_slope_that_overflows():
                       tuple(-1e308 + 4e307 * i for i in range(5)))
     with pytest.raises(DomainError, match="overflows"):
         verify_ck_numeric(d, 1)
+
+
+def test_verify_rejects_seam_steps_past_the_float_range():
+    # the squared step of the order-2 quotient overflows; a seam one float
+    # from another leaves a step that underflows to 0
+    wide = NumericDiffeo.from_function(lambda x: x, (0.0, 1e200), seams=(5e199,))
+    with pytest.raises(DomainError, match="too large"):
+        verify_ck_numeric(wide, 2)
+    close = NumericDiffeo.from_function(lambda x: x, (-1.0, 1.0), seams=(0.0, 5e-324))
+    with pytest.raises(DomainError, match="too close"):
+        verify_ck_numeric(close, 1)
+
+
+def cert_maps():
+    """Maps with 1-3 distinct seams, some near the domain's ends: smooth and
+    cornered rules, the monotone cubic of sampled ones, a glue and the
+    transitions of a collapsed 4-chart chain."""
+    r = random.Random(28)
+    maps = []
+    for n in range(12):
+        lo = r.uniform(-3.0, 3.0)
+        span = r.uniform(0.25, 4.0)
+        hi = lo + span
+        seams = sorted({lo + span * r.uniform(0.1, 0.9) for _ in range(r.randint(1, 3))})
+        if n % 3 == 1:
+            seams[0] = lo + span * 10.0 ** -r.randint(3, 9)
+        if n % 3 == 2:
+            seams[-1] = hi - span * 10.0 ** -r.randint(3, 9)
+        c = r.uniform(0.05, 0.3)
+        smooth = gen.smooth_map(lo, c)
+        corner = gen.corner_map(seams[len(seams) // 2], c)
+        maps += [NumericDiffeo.from_function(smooth, (lo, hi), n=256, seams=tuple(seams)),
+                 NumericDiffeo.from_function(corner, (lo, hi), n=256, seams=tuple(seams))]
+        xs = np.linspace(lo, hi, 129)
+        maps.append(NumericDiffeo(xs, smooth(xs), seams=tuple(seams)))
+    g = overlap_transition(1.0, 2.0, 0.4)
+    maps.append(glue_id_and_diff(g, 0.1, n=512))
+    spec = gen.chain_spec(random.Random(7), 4)
+    images = spec["images"]
+    transitions = tuple(bent_diffeo(images[i + 1][0], images[i][1], lam, mu)
+                        for i, (lam, mu) in enumerate(spec["params"]))
+    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
+    maps += collapse_chain(ChainAtlas(charts, transitions), k=1).transitions
+    return maps
+
+
+def test_verify_matches_the_row_by_row_reference_bit_for_bit():
+    # repr tells -0.0 from 0.0 and writes every float to the bit
+    import cert_reference
+
+    for m in cert_maps():
+        for k in (1, 2, 3, 4):
+            cert = verify_ck_numeric(m, k)
+            assert repr(record_fields(cert)) == repr(record_fields(
+                cert_reference.verify_ck_numeric(m, k)))
 
 
 def test_cert_json_shape():
