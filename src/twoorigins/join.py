@@ -488,6 +488,9 @@ class NumericDiffeo(Record, eq=False):
         number of passes. Elsewhere the rule and the samples disagree about
         y's cell, and the end the rule puts on y's side stands: a where
         fwd(a) >= y, else b.
+
+        A call evaluates the rule once on the cells' ends and a seed bracket
+        of every y, then once a pass on the points still live; see _illinois.
         """
         up = self.increasing
         xs, ys = (self._x, self._y) if up else (self._x[::-1], self._y[::-1])
@@ -514,56 +517,12 @@ class NumericDiffeo(Record, eq=False):
             a, b = cell[:2]
             fa, fb, fsa, fsb = np.asarray(fwd(np.concatenate((a, b, sa, sb))),
                                           dtype=float).reshape(4, -1) - y
-            # Illinois regula falsi while fwd(a) < y <= fwd(b) and a and b are
-            # not neighbouring floats: an end kept twice in a row has its
-            # residual halved, so both ends close in. The seed replaces the
-            # cell only where both straddle y. Every pass runs on all points
-            # and moves only the live ones; a single point runs in Python
-            # floats.
+            # the seed replaces the cell only where both straddle y
             seed = (fa < 0.0) & (fb >= 0.0) & (fsa < 0.0) & (fsb >= 0.0)
             a, b = np.where(seed, sa, a), np.where(seed, sb, b)
             fa, fb = np.where(seed, fsa, fa), np.where(seed, fsb, fb)
-            if len(y) == 1:
-                return np.array([_illinois_one(fwd, float(y[0]), float(a[0]), float(b[0]),
-                                               float(fa[0]), float(fb[0]))])
-            a_last = b_last = np.zeros(len(y), dtype=bool)  # which end moved last
-            # passes in a row on which b was a root, per point and for any point
-            streak = no_streak = np.zeros(len(y), dtype=int)
-            run = 0
-            for _ in range(100):  # cells shrink to adjacent floats well before
-                # the points at rest may divide 0 by 0 here; the masks drop them
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    mid = 0.5 * (a + b)
-                    live = (fa < 0.0) & (fb >= 0.0) & ((mid - a) * (mid - b) < 0.0)
-                    if not np.count_nonzero(live):
-                        break
-                    x = b - fb * (b - a) / (fb - fa)
-                    x = np.where((x - a) * (x - b) < 0.0, x, mid)
-                    root = fb == 0.0
-                    if np.count_nonzero(root):
-                        # from a root b step toward a: one float on each of
-                        # the first _ROOT_WALK passes in a row from a root,
-                        # then twice as far on each further one, or to mid
-                        # where that leaves (a, b), so a long run of roots
-                        # costs a logarithmic number of passes
-                        streak, run = (streak + 1) * root, run + 1
-                        step = np.nextafter(b, a)
-                        if run > _ROOT_WALK and np.count_nonzero(streak > _ROOT_WALK):
-                            far = b + np.ldexp(step - b, streak - _ROOT_WALK)
-                            far = np.where((far - a) * (far - b) < 0.0, far, mid)
-                            step = np.where(streak > _ROOT_WALK, far, step)
-                        x = np.where(root, step, x)
-                    else:
-                        streak, run = no_streak, 0
-                fx = np.asarray(fwd(x), dtype=float) - y
-                low = fx < 0.0
-                high = ~low
-                new_a, new_b = live & low, live & high
-                a, b = np.where(new_a, x, a), np.where(new_b, x, b)
-                fa, fb = (np.where(new_a, fx, np.where(new_b & b_last, 0.5 * fa, fa)),
-                          np.where(new_b, fx, np.where(new_a & a_last, 0.5 * fb, fb)))
-                a_last, b_last = low, high
-            return np.where(fa >= 0.0, a, b)
+            return np.array(_illinois(fwd, y.tolist(), a.tolist(), b.tolist(),
+                                      fa.tolist(), fb.tolist()))
 
         inv_seams = tuple(sorted(float(self(s)) for s in self.seams))
         return NumericDiffeo(ys, xs, underlying=inv, seams=inv_seams)
@@ -586,41 +545,61 @@ class NumericDiffeo(Record, eq=False):
         return cls(tuple(x for x, _ in pts), tuple(y for _, y in pts), seams=seams)
 
 
-def _illinois_one(fwd: Callable, y: float, a: float, b: float, fa: float, fb: float) -> float:
-    """The Illinois passes of NumericDiffeo.inverse for one point, in Python
-    floats: the same operations in the same order, so the same bits, with
-    fwd called on the same one-element arrays, at a fraction of the cost of
-    numpy's calls on arrays of one element. fa and fb are fwd(a) - y and
-    fwd(b) - y."""
-    a_last = b_last = False
-    streak = 0  # passes in a row on which b was a root
-    for _ in range(100):
-        mid = 0.5 * (a + b)
-        if not (fa < 0.0 and fb >= 0.0 and (mid - a) * (mid - b) < 0.0):
+def _illinois(fwd: Callable, y: list, a: list, b: list, fa: list, fb: list) -> list:
+    """The answers of NumericDiffeo.inverse from the brackets [a, b] of the
+    points y, with fa and fb = fwd(a) - y and fwd(b) - y, all Python floats;
+    a, b, fa and fb are updated in place.
+
+    Illinois regula falsi (Dowell & Jarratt 1971) while fwd(a) < y <= fwd(b)
+    and a and b are not neighbouring floats: an end kept twice in a row has
+    its residual halved, so both ends close in. Each pass walks the live
+    points in Python floats and calls fwd once, on their new x only; on a
+    rule that works point by point, each point's iterates are those it would
+    have alone."""
+    moved = [0] * len(y)  # -1 where a moved last, 1 where b did
+    streak = [0] * len(y)  # passes in a row on which b was a root
+    live = range(len(y))
+    for _ in range(100):  # cells shrink to adjacent floats well before
+        moving, xs = [], []
+        for i in live:
+            ai, bi, fai, fbi = a[i], b[i], fa[i], fb[i]
+            mid = 0.5 * (ai + bi)
+            if not (fai < 0.0 and fbi >= 0.0 and (mid - ai) * (mid - bi) < 0.0):
+                continue
+            x = bi - fbi * (bi - ai) / (fbi - fai)
+            if not (x - ai) * (x - bi) < 0.0:
+                x = mid
+            if fbi == 0.0:
+                # from a root b step toward a: one float on each of the
+                # first _ROOT_WALK passes in a row from a root, then twice as
+                # far on each further one, or to mid where that leaves
+                # (a, b), so a long run of roots costs a logarithmic number
+                # of passes
+                streak[i] += 1
+                x = math.nextafter(bi, ai)
+                if streak[i] > _ROOT_WALK:
+                    far = bi + (x - bi) * 2.0 ** (streak[i] - _ROOT_WALK)
+                    x = far if (far - ai) * (far - bi) < 0.0 else mid
+            else:
+                streak[i] = 0
+            moving.append(i)
+            xs.append(x)
+        if not moving:
             break
-        x = b - fb * (b - a) / (fb - fa)
-        if not (x - a) * (x - b) < 0.0:
-            x = mid
-        if fb == 0.0:
-            streak += 1
-            x = math.nextafter(b, a)
-            if streak > _ROOT_WALK:
-                far = b + (x - b) * 2.0 ** (streak - _ROOT_WALK)
-                x = far if (far - a) * (far - b) < 0.0 else mid
-        else:
-            streak = 0
-        fx = float(np.asarray(fwd(np.array([x])), dtype=float)[0]) - y
-        if fx < 0.0:
-            a, fa = x, fx
-            if a_last:
-                fb = 0.5 * fb
-            a_last, b_last = True, False
-        else:
-            b, fb = x, fx
-            if b_last:
-                fa = 0.5 * fa
-            a_last, b_last = False, True
-    return a if fa >= 0.0 else b
+        for i, x, fx in zip(moving, xs, np.asarray(fwd(np.array(xs)), dtype=float).tolist()):
+            fx -= y[i]
+            if fx < 0.0:
+                a[i], fa[i] = x, fx
+                if moved[i] < 0:
+                    fb[i] *= 0.5
+                moved[i] = -1
+            else:
+                b[i], fb[i] = x, fx
+                if moved[i] > 0:
+                    fa[i] *= 0.5
+                moved[i] = 1
+        live = moving
+    return [ai if fai >= 0.0 else bi for ai, bi, fai in zip(a, b, fa)]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ dump holds the certificates, the steps and chart, the glue reports, the
 collapse_to_json payload, and every transition's domain, seams and values at
 31 interior points of its chart. Each collapse also holds the workload's
 check, evaluated a float at a time: r_i(x) and r_{i+1}(g_i(x)) at 0.25, 0.5
-and 0.75 of every overlap.
+and 0.75 of every overlap. For each seed's chain, every transition's inverse
+is evaluated at 1,201 points of its domain in one call and at 31 interior
+points one float at a time, so large, small and scalar solves are covered.
 
 It also holds the other op kinds of the chain_collapse workload, taken from
 the first 120 ops of perfbench/gen.stream("chain_collapse", s) for
@@ -81,6 +83,18 @@ def maps(rs, charts) -> list:
     return out
 
 
+def inverses(atlas) -> list:
+    """Each transition's inverse at 1,201 points of its domain in one call,
+    ends included, and at 31 interior points one float at a time."""
+    out = []
+    for g in atlas.transitions:
+        inv = g.inverse()
+        lo, hi = inv.domain
+        out.append({"array": inv(np.linspace(lo, hi, 1201)).tolist(),
+                    "floats": [inv(y) for y in np.linspace(lo, hi, 33)[1:-1].tolist()]})
+    return out
+
+
 def main(path: str) -> None:
     glues = []
     glue_auto = join.glue_auto
@@ -104,6 +118,7 @@ def main(path: str) -> None:
                           "glues": list(glues), "json": join.collapse_to_json(res, atlas),
                           "maps": maps(res.transitions, atlas.charts),
                           "overlaps": overlap_checks(res.transitions, atlas, fns)})
+        cases.append({"inverses": seed, "transitions": inverses(atlas)})
     for seed in range(40):
         atlas, _ = chain(seed, 2)
         res = join.join_charts(*atlas.charts, atlas.transitions[0], k=2)

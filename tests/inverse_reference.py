@@ -3,9 +3,9 @@ the reference the inverse tests compare the library against.
 
 join.NumericDiffeo.inverse now starts each solve from a bracket of a
 thousandth of the cell around the secant of the samples, where that bracket
-and the cell both straddle y, and moves all points under a live mask; this
-one starts every solve from the cell's ends and moves the live points by
-gather and scatter. Both return the first float from the cell's left end
+and the cell both straddle y, and walks the live points in Python floats,
+with one rule call a pass on those points only; this one starts every solve
+from the cell's ends and moves the live points by numpy gather and scatter. Both return the first float from the cell's left end
 toward its right end whose image reaches y, so the two must agree bit for
 bit.
 """

@@ -1,17 +1,23 @@
 """End-to-end CLI tests through run(); exit codes are part of the contract."""
 
 import ast
+import contextlib
+import io
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twoorigins import cli, join
 from twoorigins.cli import EXIT_INPUT, EXIT_NEGATIVE, EXIT_NUMERIC, EXIT_OK, run
@@ -776,6 +782,97 @@ def test_non_finite_samples_are_input_errors(write, capsys, where, bad):
         captured = capsys.readouterr()
         assert "must be finite" in captured.err
         assert "Traceback" not in captured.err + captured.out
+
+
+# -- join and verify on hostile input -------------------------------------------------
+
+ODD_FLOATS = st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e308, -1e308])
+FLOATS = st.one_of(st.floats(-4.0, 4.0), ODD_FLOATS)
+
+
+@st.composite
+def spoiled_samples(draw, lo, hi):
+    """The samples of a monotone map of [lo, hi], each [x, y], with up to
+    three spoils: a value replaced by an odd float, a sample repeated, two
+    samples swapped."""
+    n = draw(st.integers(4, 33))
+    lam = draw(st.floats(-0.9, 0.9))
+    t = np.linspace(0.0, 1.0, n)
+    ys = lo + (hi - lo) * (t + lam * t * (1.0 - t))
+    if draw(st.booleans()):
+        ys = ys[::-1]
+    pts = [[x, y] for x, y in zip(np.linspace(lo, hi, n).tolist(), ys.tolist())]
+    for _ in range(draw(st.integers(0, 3))):
+        spoil, i = draw(st.sampled_from(["value", "repeat", "swap"])), draw(st.integers(0, n - 1))
+        if spoil == "value":
+            pts[i][draw(st.integers(0, 1))] = draw(FLOATS)
+        elif spoil == "repeat":
+            pts.insert(i, list(pts[i]))
+        else:
+            j = draw(st.integers(0, n - 1))
+            pts[i], pts[j] = pts[j], pts[i]
+    return pts
+
+
+@st.composite
+def map_entry(draw, lo, hi):
+    seams = draw(st.lists(st.one_of(st.floats(lo, hi), FLOATS), max_size=3))
+    return {"samples": draw(spoiled_samples(lo, hi)), "seams": seams}
+
+
+@st.composite
+def join_entry(draw):
+    """A spec of two or three charts, chart i on (i, i + 2) unless spoiled;
+    each consecutive pair is linked by a sampled transition on the overlap or
+    through the two charts' maps."""
+    m = draw(st.integers(2, 3))
+    charts = []
+    for i in range(m):
+        image = [float(i), float(i + 2)]
+        if draw(st.integers(0, 4)) == 0:
+            image[draw(st.integers(0, 1))] = draw(FLOATS)
+        chart = {"label": f"c{i}", "image": image}
+        chart_map = draw(st.one_of(st.none(), st.just("identity"),
+                                   st.builds(lambda a, b: {"affine": [a, b]}, FLOATS, FLOATS)))
+        if chart_map is not None:
+            chart["map"] = chart_map
+        charts.append(chart)
+    transitions = []
+    for i in range(m - 1):
+        if draw(st.booleans()):
+            entry = draw(map_entry(i + 1.0, i + 2.0))
+            transitions.append(dict(entry, between=[i, i + 1]))
+    spec = {"charts": charts, "transitions": transitions, "k": draw(st.integers(-1, 4))}
+    if draw(st.booleans()):
+        spec["tol"] = draw(st.one_of(st.floats(1e-6, 1e-1), FLOATS))
+    return spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(command=st.sampled_from(["join", "verify"]), data=st.data())
+def test_join_and_verify_keep_the_exit_code_contract_on_hostile_input(command, data):
+    # whatever the samples, seams, orders and tolerances: an exit code of the
+    # contract, no traceback, and exit 1 only as an answer, a failed
+    # certificate's report or one not-joinable line
+    doc = data.draw(join_entry() if command == "join" else map_entry(1.0, 2.0))
+    flags = []
+    if data.draw(st.booleans()):
+        flags.append(f"--k={data.draw(st.integers(-1, 4))}")
+    if data.draw(st.booleans()):
+        flags.append(f"--tol={data.draw(st.one_of(st.floats(1e-6, 1e-1), FLOATS))!r}")
+    if data.draw(st.booleans()):
+        flags.append("--json")
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "input.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([command, str(path), *flags])
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_NUMERIC)
+    assert "Traceback" not in err
+    if code == EXIT_NEGATIVE:
+        assert out.strip() or (err.startswith("not joinable: ") and err.count("\n") == 1)
 
 
 # -- parser plumbing ------------------------------------------------------------------

@@ -378,10 +378,11 @@ def test_numeric_diffeo_inverse_matches_the_cell_end_reference_bit_for_bit():
 
 
 def test_numeric_diffeo_inverse_of_one_point_matches_the_array_solve_bit_for_bit():
-    # one point runs the Illinois passes in Python floats, more points run
-    # them in numpy; each rule here works point by point, so every point's
-    # answer is the same bits either way, galloping along a run of roots
-    # (2 - x - 0.3 x (1 - x) near x = 0) included
+    # one loop solves every call, and each rule here works point by point, so
+    # a point's iterates do not depend on the other points of its call: its
+    # answer alone and within a call of over a thousand points is the same
+    # bits, galloping along a run of roots (2 - x - 0.3 x (1 - x) near
+    # x = 0) included
     xs = np.linspace(1.0, 2.0, 33)
     maps = [NumericDiffeo.from_function(lambda x: 2.0 - x - 0.3 * x * (1.0 - x), (0.0, 1.0)),
             bent_diffeo(4.796875, 5.28125, 0.3, -0.1),
@@ -394,6 +395,28 @@ def test_numeric_diffeo_inverse_of_one_point_matches_the_array_solve_bit_for_bit
                                  np.nextafter(ys, np.inf), [lo - 1.0, hi + 1.0]))
         inv = d.inverse()
         assert [inv(np.array([y]))[0] for y in points.tolist()] == inv(points).tolist()
+
+
+def test_numeric_diffeo_inverse_evaluates_only_live_points_once_a_pass():
+    # after the seed's call on the cells' ends and the seed's bracket, four
+    # points per y, each pass calls the rule once, on the points still live:
+    # a point that takes j passes alone is evaluated on passes 1 to j
+    fn = gen.bent_map(4.796875, 5.28125, 0.3, -0.1)
+    sizes = []
+    d = NumericDiffeo.from_function(lambda x: (sizes.append(len(x)), fn(x))[1],
+                                    (4.796875, 5.28125))
+    inv = d.inverse()
+    ys = np.linspace(4.8, 5.28, 300)
+    passes = []
+    for y in ys.tolist():
+        sizes.clear()
+        inv(np.array([y]))
+        passes.append(len(sizes) - 1)
+    assert len(set(passes)) > 2
+    sizes.clear()
+    inv(ys)
+    assert sizes == [4 * len(ys)] + [sum(p >= j for p in passes)
+                                     for j in range(1, max(passes) + 1)]
 
 
 def test_numeric_diffeo_keeps_its_own_samples():
@@ -1134,13 +1157,17 @@ MAP_KINDS = ["identity", "affine", "composed", "piecewise", "numeric", "interpol
 
 @pytest.mark.parametrize("kind", MAP_KINDS)
 def test_map_protocol_array_matches_pointwise(protocol_maps, kind):
+    # a map answers each point alone, so splitting a call changes no bit
     m, (lo, hi) = protocol_maps[kind]
-    xs = np.linspace(lo, hi, 103)[1:-1]
+    xs = np.concatenate((np.linspace(lo, hi, 103)[1:-1],
+                         np.random.default_rng(29).uniform(lo, hi, 300)))
     got = m(xs)
     assert isinstance(got, np.ndarray) and got.shape == xs.shape
     singles = [m(float(x)) for x in xs]
     assert all(type(v) is float for v in singles)
     assert np.array_equal(got, singles)
+    batches = np.concatenate([m(part) for part in np.split(xs, [1, 3, 6, 13])])
+    assert np.array_equal(got, batches)
 
 
 def test_map_protocol_keeps_snapped_regions_exact():
