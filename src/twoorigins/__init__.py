@@ -32,8 +32,8 @@ _EXPORTS = {
               "sandwich_smoothness", "smoothness_at_zero"),
     "join": ("TOL_SCHEDULE", "AffineMap", "ChainAtlas", "CollapseResult", "ComposedMap",
              "GlueReport", "IdentityMap", "IntervalChart", "JoinResult", "NumericDiffeo",
-             "PiecewiseMonotone", "SmoothCert", "bump_plateau", "chain_from_json",
-             "collapse_chain", "collapse_to_json", "glue_auto", "glue_id_and_diff", "join_charts",
+             "SmoothCert", "bump_plateau", "chain_from_json", "collapse_chain",
+             "collapse_to_json", "glue_auto", "glue_id_and_diff", "join_charts",
              "verify_ck_numeric"),
     "realnum": ("REAL_TOL", "is_integral", "real_eq", "real_json", "real_pow", "real_sqrt",
                 "to_real"),

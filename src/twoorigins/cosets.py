@@ -167,6 +167,15 @@ class FiniteGroup(Record):
         return group, subs
 
 
+def _element_index(group: FiniteGroup, i) -> int:
+    """i itself if it is an int, not a bool, indexing an element of group."""
+    if isinstance(i, bool) or not isinstance(i, int):
+        raise DomainError(f"subgroup member {i!r} is not an element index")
+    if not 0 <= i < len(group):
+        raise DomainError("subgroup member out of range")
+    return i
+
+
 class Subgroup(Record):
     """A sorted, non-empty index set, verified closed under product.
 
@@ -178,11 +187,9 @@ class Subgroup(Record):
     members: tuple[int, ...]
 
     def __init__(self, group: FiniteGroup, members):
-        mem = tuple(sorted(set(members)))
+        mem = tuple(sorted(set(_element_index(group, i) for i in members)))
         if not mem:
             raise DomainError("empty subgroup")
-        if any(not (0 <= i < len(group)) for i in mem):
-            raise DomainError("subgroup member out of range")
         ms = set(mem)
         for i in mem:
             row = group.table[i]
@@ -202,7 +209,8 @@ class Subgroup(Record):
     @classmethod
     def generated(cls, group: FiniteGroup, gens) -> "Subgroup":
         seen = {group.identity}
-        frontier = [group.index_of(str(n)) if isinstance(n, str) else int(n) for n in gens]
+        frontier = [group.index_of(n) if isinstance(n, str) else _element_index(group, n)
+                    for n in gens]
         seen.update(frontier)
         while frontier:
             nxt = []

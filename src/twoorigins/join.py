@@ -300,67 +300,6 @@ def _piecewise(out: np.ndarray, xs: np.ndarray, masks: list, fns) -> np.ndarray:
     return out
 
 
-class PiecewiseMonotone(Record, eq=False):
-    """Strictly increasing map assembled from pieces on a breakpoint grid.
-
-    pieces[i] covers [breakpoints[i], breakpoints[i+1]]. Construction calls
-    each piece once, on 9 evenly spaced points of its cell from breakpoint
-    to breakpoint: the end values of neighbouring pieces must agree at each
-    interior breakpoint (continuity), and the samples in order must not
-    decrease (a spot check of strict monotonicity). The seams are the
-    interior breakpoints plus any extras the builder knows about (e.g.
-    images of seams of an ingredient map). The interior breakpoints are also
-    kept as an array, which each call searches for its points' pieces.
-    """
-
-    breakpoints: tuple
-    pieces: tuple
-    extra_seams: tuple = ()
-
-    def __init__(self, breakpoints, pieces, extra_seams=()):
-        bps = tuple(float(b) for b in breakpoints)
-        if len(bps) < 2 or len(pieces) != len(bps) - 1:
-            raise DomainError("need n+1 breakpoints for n pieces")
-        if any(b2 <= b1 for b1, b2 in zip(bps, bps[1:])):
-            raise DomainError("breakpoints must strictly increase")
-        scale = max(1.0, abs(bps[0]), abs(bps[-1]))
-        # linspace returns both ends exactly, so the samples hold each
-        # piece's values at its breakpoints
-        samples = [piece(np.linspace(bps[i], bps[i + 1], 9)).tolist()
-                   for i, piece in enumerate(pieces)]
-        for i in range(1, len(bps) - 1):
-            left, right = samples[i - 1][-1], samples[i][0]
-            if abs(left - right) > 1e-8 * scale:
-                raise DomainError(
-                    f"pieces disagree at breakpoint {bps[i]}: {left} vs {right}"
-                )
-        prev = None
-        for vals in samples:
-            for val in vals:
-                if prev is not None and val <= prev - 1e-12 * scale:
-                    raise DomainError("assembled map is not increasing")
-                prev = max(val, prev) if prev is not None else val
-        setfield(self, "breakpoints", bps)
-        setfield(self, "pieces", pieces)
-        setfield(self, "extra_seams", extra_seams)
-        setfield(self, "_inner", np.array(bps[1:-1]))
-
-    @property
-    def domain(self) -> tuple:
-        return (self.breakpoints[0], self.breakpoints[-1])
-
-    @property
-    def seams(self) -> tuple:
-        interior = self.breakpoints[1:-1]
-        return tuple(sorted(set(interior) | set(self.extra_seams)))
-
-    @_pointwise
-    def __call__(self, xs: np.ndarray) -> np.ndarray:
-        which = self._inner.searchsorted(xs, side="right")  # the end pieces extend
-        return _piecewise(np.zeros(xs.shape), xs, [which == i for i in range(len(self.pieces))],
-                          self.pieces)
-
-
 # ---------------------------------------------------------------------------
 # numeric diffeomorphisms
 
@@ -1037,7 +976,12 @@ class JoinResult(Record, eq=False):
 
 def _join_maps(u_image: tuple, v_image: tuple, g: NumericDiffeo, n: int = 4096) -> tuple:
     """P, Q and the glue report (None for an identity g) of the join of images
-    (a, c) and (b, d) along g; the caller checks the inputs and certifies."""
+    (a, c) and (b, d) along g; the caller checks the inputs and certifies.
+
+    P is the glue p read on (a, c). Q is p o g^-1 below y2 = g(c - eps) and
+    the identity from y2 on: p is g from c - eps on, so the two pieces meet
+    at y2 by construction, within rounding. Nothing here samples them; the
+    caller's certificate reads Q's derivatives on both sides of y2."""
     a, c = u_image
     b, d = v_image
     if g.is_identity():
@@ -1045,15 +989,16 @@ def _join_maps(u_image: tuple, v_image: tuple, g: NumericDiffeo, n: int = 4096) 
 
     p = glue_auto(g, n=n)
     eps = p.glue.eps
-    # p is already x up to b + eps and g from c - eps on, so P is p read on
-    # (a, c): one piece has no breakpoint to check, and p's own samples
-    # showed it increasing. p o g^-1 is not bitwise x past y2 = g(c - eps),
-    # so Q is two pieces, and its construction checks that they meet there.
+    # p o g^-1 is not bitwise x past y2, so Q cuts to the identity there;
+    # a NaN fails y < y2 and is copied, as the identity piece would
     P = ComposedMap(p, IdentityMap((a, c)), seams=p.seams)
     y1 = float(g(b + eps))
     y2 = float(g(c - eps))
     q_mid = ComposedMap(p, g.inverse())
-    Q = PiecewiseMonotone((b, y2, d), (q_mid, IdentityMap((y2, d))), extra_seams=(y1,))
+
+    def cut(y):
+        return _piecewise(y.copy(), y, [y < y2], [q_mid])
+    Q = ComposedMap(cut, IdentityMap((b, d)), seams=tuple(sorted({y1, y2})))
     return P, Q, p.glue
 
 

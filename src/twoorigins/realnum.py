@@ -115,11 +115,22 @@ def real_pow(base: Real, exp: Real) -> Real:
         root = _fraction_root(base, exp.denominator)
         if root is not None:
             return _exact_pow(root, exp.numerator)
-        return float(base) ** float(exp)
-    b, e = float(base), float(exp)
+        return _in_float_range(base) ** _in_float_range(exp)
+    b, e = _in_float_range(base), _in_float_range(exp)
     if b <= 0 and not float(e).is_integer():
         raise ValueError("fractional power of a non-positive base")
     return b ** e
+
+
+def _in_float_range(x: Real) -> float:
+    """float(x), refused for a nonzero x whose float is 0.0: a power of it
+    would come out 0 or divide by zero. Past the other end of the range,
+    float() itself raises OverflowError."""
+    f = float(x)
+    if f == 0.0 and x != 0:
+        raise DomainError("a nonzero value is too small for a float; "
+                          "a value is out of float range")
+    return f
 
 
 def _exact_pow(base: Fraction, k: int) -> Fraction:

@@ -9,7 +9,9 @@ seed mod 3, each collapsed at k = 1 and k = 2 with tol 1e-3, and for each
 seed a two-chart spec joined with join_charts at k = 2. For every case the
 dump holds the certificates, the steps and chart, the glue reports, the
 collapse_to_json payload, and every transition's domain, seams and values at
-31 interior points of its chart. Each collapse also holds the workload's
+31 interior points of its chart. Each two-chart join also holds trans_v at
+the points where its pieces meet, y1 = g(b + eps) and y2 = g(c - eps), and
+at y2's two neighbouring floats, one float at a time and in one array call. Each collapse also holds the workload's
 check, evaluated a float at a time: r_i(x) and r_{i+1}(g_i(x)) at 0.25, 0.5
 and 0.75 of every overlap. For each seed's chain, every transition's inverse
 is evaluated at 1,201 points of its domain in one call and at 31 interior
@@ -33,6 +35,7 @@ leaf agrees.
 
 import hashlib
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -95,6 +98,18 @@ def inverses(atlas) -> list:
     return out
 
 
+def cut_points(res, g):
+    """trans_v of a join along g at y1 = g(b + eps), y2's lower neighbouring
+    float, y2 = g(c - eps) and its upper one; None for an identity g."""
+    if res.glue is None:
+        return None
+    b, c = g.domain
+    y2 = g(c - res.glue.eps)
+    ys = [g(b + res.glue.eps), math.nextafter(y2, -math.inf), y2, math.nextafter(y2, math.inf)]
+    return {"points": ys, "floats": [res.trans_v(y) for y in ys],
+            "array": res.trans_v(np.array(ys)).tolist()}
+
+
 def main(path: str) -> None:
     glues = []
     glue_auto = join.glue_auto
@@ -126,6 +141,7 @@ def main(path: str) -> None:
         cases.append({"join": seed, "chart": [res.chart.label, list(res.chart.image)],
                       "passed": res.passed, "glue": glue,
                       "certs": [res.cert_u.to_json(), res.cert_v.to_json()],
+                      "cut": cut_points(res, atlas.transitions[0]),
                       "maps": maps((res.trans_u, res.trans_v), atlas.charts)})
     for seed in range(10):
         for op in gen.take("chain_collapse", seed, 120):

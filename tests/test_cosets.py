@@ -375,6 +375,20 @@ def test_subgroup_validation():
         Subgroup.from_names(g, ["s"])  # missing identity
 
 
+@pytest.mark.parametrize("index, message", [(5, "out of range"), (-1, "out of range"),
+                                            (1.5, "not an element index"),
+                                            (True, "not an element index")],
+                         ids=["past-the-end", "negative", "float", "bool"])
+@pytest.mark.parametrize("build", [Subgroup.generated, Subgroup], ids=["generated", "init"])
+def test_subgroup_rejects_what_is_not_an_element_index(build, index, message):
+    # a bool or a float is not read as index 1, and an index past the table
+    # is no IndexError
+    g = groups.cyclic(2)
+    members = [index] if build is Subgroup.generated else [0, index]
+    with pytest.raises(DomainError, match=message):
+        build(g, members)
+
+
 def test_subgroup_normality():
     g = d3()
     assert Subgroup.generated(g, [g.index_of("r")]).is_normal()

@@ -20,7 +20,6 @@ from twoorigins.join import (
     IdentityMap,
     IntervalChart,
     NumericDiffeo,
-    PiecewiseMonotone,
     TOL_SCHEDULE,
     bump_plateau,
     chain_from_json,
@@ -175,23 +174,6 @@ def test_composed_map_applies_outer_after_inner():
     assert c.domain == (0.0, 1.0)
 
 
-def test_piecewise_monotone_routing_and_checks():
-    p = PiecewiseMonotone(
-        (0.0, 1.0, 2.0),
-        (IdentityMap((0.0, 1.0)), AffineMap(2.0, -1.0, domain=(1.0, 2.0))),
-    )
-    assert p(0.5) == 0.5
-    assert p(1.5) == 2.0
-    assert p.seams == (1.0,)
-    with pytest.raises(DomainError, match=r"pieces disagree at breakpoint 1\.0: 1\.0 vs 7\.0"):
-        PiecewiseMonotone(
-            (0.0, 1.0, 2.0),
-            (IdentityMap((0.0, 1.0)), AffineMap(2.0, 5.0, domain=(1.0, 2.0))),
-        )
-    with pytest.raises(DomainError):
-        PiecewiseMonotone((0.0, 1.0), (AffineMap(-1.0, 1.0, domain=(0.0, 1.0)),))
-
-
 class Counted:
     """A map that counts its calls; domain and seams are the wrapped map's."""
 
@@ -201,19 +183,6 @@ class Counted:
     def __call__(self, x):
         self.calls += 1
         return self.fn(x)
-
-
-def test_piecewise_monotone_calls_each_piece_once():
-    g = overlap_transition(1.0, 2.0, 0.4)
-    pieces = (Counted(IdentityMap((0.0, 1.0))), Counted(g), Counted(AffineMap(1.0, 0.0)))
-    p = PiecewiseMonotone((0.0, 1.0, 2.0, 3.0), pieces)
-    assert [c.calls for c in pieces] == [1, 1, 1]
-    assert p(2.5) == 2.5
-    # a breaking piece is still found, after one call of each
-    pieces = (Counted(IdentityMap((0.0, 1.0))), Counted(AffineMap(1.0, 1e-6)))
-    with pytest.raises(DomainError, match="pieces disagree at breakpoint 1.0"):
-        PiecewiseMonotone((0.0, 1.0, 2.0), pieces)
-    assert [c.calls for c in pieces] == [1, 1]
 
 
 @pytest.mark.parametrize("k", [1, 2, 4])
@@ -812,12 +781,7 @@ def cert_maps():
         maps.append(NumericDiffeo(xs, smooth(xs), seams=tuple(seams)))
     g = overlap_transition(1.0, 2.0, 0.4)
     maps.append(glue_id_and_diff(g, 0.1, n=512))
-    spec = gen.chain_spec(random.Random(7), 4)
-    images = spec["images"]
-    transitions = tuple(bent_diffeo(images[i + 1][0], images[i][1], lam, mu)
-                        for i, (lam, mu) in enumerate(spec["params"]))
-    charts = tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images))
-    maps += collapse_chain(ChainAtlas(charts, transitions), k=1).transitions
+    maps += collapse_chain(bent_chain(7, 4), k=1).transitions
     return maps
 
 
@@ -1057,8 +1021,8 @@ def test_two_chart_collapse_reads_the_glue_on_the_left_chart():
 
 
 def test_join_maps_read_the_glue_once_before_certifying(monkeypatch):
-    # Q's construction samples q_mid = p o g^-1 once; P, the glue read on
-    # (a, c), has no check of its own that calls it
+    # building P and Q calls neither map: Q is p o g^-1 below y2 = g(c - eps)
+    # and exactly y from y2 on, and only the caller's certificate samples it
     g = overlap_transition(1.0, 2.0, 0.4)
     calls = []
 
@@ -1072,9 +1036,45 @@ def test_join_maps_read_the_glue_once_before_certifying(monkeypatch):
 
     monkeypatch.setattr(join_mod, "glue_auto", counted)
     P, Q, report = join_mod._join_maps((0.0, 2.0), (1.0, 3.0), g)
-    assert len(calls) == 1
-    assert P.domain == (0.0, 2.0)
+    assert calls == []
+    assert P.domain == (0.0, 2.0) and Q.domain == (1.0, 3.0)
     assert P.seams == (1.0 + report.eps, 2.0 - report.eps)
+    y1, y2 = g(1.0 + report.eps), g(2.0 - report.eps)
+    assert Q.seams == (y1, y2)
+    above = np.concatenate(([y2, np.nextafter(y2, np.inf)], np.linspace(y2, 3.0, 65)))
+    assert np.array_equal(Q(above), above) and Q(y2) == y2
+    below = np.concatenate((np.linspace(1.0, y2, 65)[:-1], [np.nextafter(y2, -np.inf)]))
+    assert np.array_equal(Q(below), glue_auto(g)(g.inverse()(below)))
+    assert math.isnan(Q(math.nan))
+
+
+def bent_chain(seed, m):
+    """The atlas of gen.chain_spec(seed, m), each transition sampled from
+    its bent map."""
+    spec = gen.chain_spec(random.Random(seed), m)
+    images = spec["images"]
+    transitions = tuple(bent_diffeo(images[i + 1][0], images[i][1], lam, mu)
+                        for i, (lam, mu) in enumerate(spec["params"]))
+    return ChainAtlas(tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images)),
+                      transitions)
+
+
+def test_collapse_certificate_catches_q_off_the_identity_at_its_cut(monkeypatch):
+    # nothing checks at construction that Q's pieces meet at y2: a Q
+    # lowered by 1e-8 of the scale below y2 must fail the certificate
+    join_maps = join_mod._join_maps
+
+    def lowered(u_image, v_image, g, n=4096):
+        P, Q, glue = join_maps(u_image, v_image, g, n)
+        y2 = Q.seams[-1]
+        delta = 1e-8 * max(1.0, abs(Q.domain[0]), abs(Q.domain[1]))
+        return P, ComposedMap(lambda y: Q(y) - delta * (y < y2), IdentityMap(Q.domain),
+                              seams=Q.seams), glue
+
+    atlases = [bent_chain(seed, 4) for seed in range(10)]
+    assert all(collapse_chain(atlas, k=1).passed for atlas in atlases)
+    monkeypatch.setattr(join_mod, "_join_maps", lowered)
+    assert not any(collapse_chain(atlas, k=1).passed for atlas in atlases)
 
 
 def test_collapse_certifies_each_chart_once(monkeypatch):
@@ -1133,13 +1133,9 @@ def protocol_maps():
             ComposedMap(AffineMap(2.0, 0.0), AffineMap(1.0, 1.0, domain=(0.0, 1.0))),
             (0.0, 1.0),
         ),
-        "piecewise": (
-            PiecewiseMonotone(
-                (0.0, 1.0, 2.0),
-                (IdentityMap((0.0, 1.0)), AffineMap(2.0, -1.0, domain=(1.0, 2.0))),
-            ),
-            (0.0, 2.0),
-        ),
+        # a join's Q: p o g^-1 cut to the identity at y2
+        "piecewise": (join_charts(IntervalChart("U", (0.0, 2.0)), IntervalChart("V", (1.0, 3.0)),
+                                  g, k=1).trans_v, (1.0, 3.0)),
         "numeric": (g, g.domain),
         "interpolant": (NumericDiffeo.from_json(g.to_json()), g.domain),
         "inverse": (g.inverse(), g.domain),

@@ -66,9 +66,6 @@ def _samples():
         join.IdentityMap: [ident, join.IdentityMap((1.0, 2.0))],
         join.AffineMap: [affine, affine.inverse(), join.AffineMap(-1.0, 0.0)],
         join.ComposedMap: [join.ComposedMap(affine, ident), join.ComposedMap(affine, ident, (0.5,))],
-        join.PiecewiseMonotone: [join.PiecewiseMonotone((0.0, 1.0), (ident,)),
-                                 join.PiecewiseMonotone((0.0, 1.0, 2.0),
-                                                        (ident, join.IdentityMap((1.0, 2.0))), (0.5,))],
         join.GlueReport: [glued.glue, join.GlueReport(0.1, 0.2, 0.0, 0.0, 0.0, 8)],
         join.NumericDiffeo: [diffeo, glued],
         join.IntervalChart: list(chain.charts),
@@ -81,12 +78,11 @@ def _samples():
 
 SAMPLES = _samples()
 RECORDS = sorted(SAMPLES, key=lambda cls: (cls.__module__, cls.__name__))
-IDENTITY_EQ = {join.ComposedMap, join.PiecewiseMonotone, join.NumericDiffeo,
-               join.JoinResult, join.CollapseResult}
+IDENTITY_EQ = {join.ComposedMap, join.NumericDiffeo, join.JoinResult, join.CollapseResult}
 #: Classes whose own __init__ computes each field once.
 OWN_INIT = {cosets.Subgroup, cosets.CosetPartition, germs.PowerTerm, germs.SideExpansion,
             germs.Germ, germs.SmoothnessReport, dline.PointL, dline.ChartL, join.AffineMap,
-            join.PiecewiseMonotone, join.IntervalChart, join.ChainAtlas}
+            join.IntervalChart, join.ChainAtlas}
 
 
 def fields(obj) -> dict:
@@ -111,7 +107,7 @@ def test_every_library_record_is_sampled():
                if isinstance(obj, type) and issubclass(obj, Record)
                and obj.__module__ == mod.__name__}
     assert defined == set(SAMPLES)
-    assert len(defined) == 28
+    assert len(defined) == 27
     assert all(len(SAMPLES[cls]) >= 2 for cls in defined)
 
 
