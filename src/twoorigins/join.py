@@ -1,11 +1,11 @@
 """Numeric gluing of interval charts on the real line.
 
-The pipeline: a smooth plateau bump built from complementary smoothsteps, an
-explicit glue of the identity into a given transition diffeomorphism via
-quadrature of gamma = alpha + lambda*beta, the join of two overlapping
-charts, and the collapse of a finite chain-like atlas to a single chart with
-one recorded reparametrization per original chart. Certification is by
-one-sided Richardson derivative estimates at the seam points.
+The pipeline: a smooth plateau bump built from complementary smoothsteps, a
+glue of the identity into a given transition diffeomorphism in closed form,
+the join of two overlapping charts, and the collapse of a finite chain-like
+atlas to a single chart with one recorded reparametrization per original
+chart. Certification is by one-sided Richardson derivative estimates at the
+seam points.
 
 Every map here takes a float or a 1-D array and returns the same kind, so a
 certificate or a glue evaluates its points in a few array calls. A
@@ -61,6 +61,8 @@ _JSON_SAMPLES = 65
 _ROOT_WALK = 4
 #: Levels of the halving steps, and so of the tableau, of each seam estimate.
 _CERT_LEVELS = 12
+#: Ramp tables kept, one a cell count; glue_auto reaches 7 counts for one n.
+_RAMP_TABLES = 16
 
 
 # ---------------------------------------------------------------------------
@@ -163,24 +165,48 @@ def _piecewise_poly(xs: np.ndarray, coef: np.ndarray, q: np.ndarray) -> np.ndarr
 
 
 # ---------------------------------------------------------------------------
-# quadrature
+# the glue's ramps
 
 @functools.cache
 def _panel() -> tuple:
-    """The offsets of a cell's 9 panel nodes, as fractions of its width, and
-    their 4-panel composite Simpson weights; arrays, built on first use."""
-    return (np.array([i / 8.0 for i in range(9)]),
-            np.array([w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)]))
+    """The offsets k/8 of a cell's 9 Simpson nodes, as fractions of its
+    width, their 4-panel composite Simpson weights omega_k, and omega_k times
+    1 - k/8; arrays, built on first use."""
+    offsets = np.array([k / 8.0 for k in range(9)])
+    weights = np.array([w / 24.0 for w in (1.0, 4.0, 2.0, 4.0, 2.0, 4.0, 2.0, 4.0, 1.0)])
+    return offsets, weights, weights * (1.0 - offsets)
 
 
-def _panel_nodes(left: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """The 9 panel nodes of each cell [left[i], left[i] + widths[i]], flat."""
-    return (left[:, None] + widths[:, None] * _panel()[0]).ravel()
+def _smoothstep_slope(u: np.ndarray) -> np.ndarray:
+    """S'(u) of the smoothstep S(u) = q(u)/(q(u) + q(1-u)), q(u) = exp(-1/u),
+    0 off (0, 1): (1/u^2 + 1/(1-u)^2) e/(1+e)^2 with e = exp(-|1/(1-u) - 1/u|),
+    which is q(u)/q(1-u) or its inverse, so nothing overflows."""
+    out = np.zeros(u.shape)
+    mid = (u > 0.0) & (u < 1.0)
+    v = u[mid]
+    w = 1.0 - v
+    e = np.exp(-np.abs(1.0 / w - 1.0 / v))
+    out[mid] = (e / v / v + e / w / w) / ((1.0 + e) * (1.0 + e))
+    return out
 
 
-def _panel_sums(rows: np.ndarray, widths: np.ndarray) -> np.ndarray:
-    """Each cell's integral from the values at its 9 panel nodes, one row a cell."""
-    return (rows.reshape(-1, 9) @ _panel()[1]) * widths
+@functools.lru_cache(maxsize=_RAMP_TABLES)
+def _ramp_table(cells: int) -> tuple:
+    """The universal ramp [0, 1] in `cells` equal cells, each with its 9
+    Simpson nodes u_{i,k} = (i + k/8)/cells: the weights omega_k
+    S'(u_{i,k})/cells (a row a cell), and S~_i = sum_{j<i} Q_j[1] and
+    J~_i = u_i S~_i - sum_{j<i} Q_j[u] at the cell starts u_i = i/cells,
+    Q_j[f] = sum_k omega_k S'(u_{j,k}) f(u_{j,k})/cells. J~ is summed cell
+    by cell as the integral of S, as a glued map reads it inside a cell."""
+    offsets, weights, tail = _panel()
+    h = 1.0 / cells
+    slopes = _smoothstep_slope((np.arange(cells)[:, None] + offsets) / cells)
+    S = np.concatenate(([0.0], np.cumsum(h * (slopes * weights).sum(axis=1))))
+    J = np.concatenate(([0.0], np.cumsum(h * (S[:-1] + h * (slopes * tail).sum(axis=1)))))
+    table = slopes * weights * h, S, J
+    for a in table:  # every glue with this cell count shares them
+        a.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -306,11 +332,11 @@ def _piecewise(out: np.ndarray, xs: np.ndarray, masks: list, fns) -> np.ndarray:
 class GlueReport(Record):
     """Construction record of one glue: the fitted bump mass and residuals.
 
-    presnap_id is the largest gap to x that the samples at and below b + eps
-    had before they were snapped to it. presnap_g is the balance at the
-    hand-over, |b + integral of gamma from b to c - eps - g(c - eps)|, and
-    integral_residual is that balance over the span c - b; lambda is fitted
-    to it, so both read rounding only.
+    presnap_id is the largest gap to x of p's closed form at the samples at
+    and below b + eps, 0.0 by construction. presnap_g is the balance where
+    lambda is fitted, |p(c2+) - p(c2)| at c2 = c - 2 eps, the right ramp's
+    closed form against the middle band's, and integral_residual is that
+    balance over the span c - b; both read rounding only.
     """
 
     eps: float
@@ -547,14 +573,26 @@ def _illinois(fwd: Callable, y: list, a: list, b: list, fa: list, fb: list) -> l
 def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     """Glue the identity into g across the interval (b, c) g lives on.
 
-    Returns p, strictly increasing, built as b + integral of gamma where
-    gamma = F + R*g' + lambda*beta: F is a plateau equal to 1 near b, R a
-    plateau equal to 1 near c, beta bridges the middle, and lambda is fitted
-    so the cumulative quadrature lands exactly on g(c-eps) at the right seam.
-    lambda <= 0 means eps is too large for this g: GlueInfeasible. The
-    quadrature stops at that seam, since every sample from there on is g's
-    own value; the report's presnap_g and integral_residual are the balance
-    left there.
+    Returns p, strictly increasing: b + the integral of gamma = F + R g' +
+    lambda beta, F, R and beta plateaus equal to 1 near b, near c and in
+    between, lambda fitted so p lands on g(c - eps), GlueInfeasible where
+    lambda <= 0. As S(1 - u) = 1 - S(u) and R g' integrates by parts, p is
+    in closed form: with u running over [0, 1] from each seam inward, J(u)
+    and K(u) the integrals of S and of S'(w) d(c - eps - eps w) from 0, and
+    d = g - x, p is
+
+    - t + (lambda - 1) eps J(u) on the left ramp,
+    - p(b2) + lambda (t - b2) on the middle band [b2, c2] = [b + 2 eps, c - 2 eps],
+    - g(t) - S(u) d(t) - (lambda - 1) eps J(u) + K(u) on the right ramp,
+
+    with lambda = 1 + (d(c2)(1 - S(1)) + K(1))/(c2 - b2 + 2 eps J(1)) so that
+    the last two meet. S, J and K are Simpson sums on C = ceil(n eps / span)
+    cells a ramp, S' from the cached _ramp_table(C), g read once at each of
+    the right ramp's 8C + 1 nodes, where it must increase (DomainError if
+    not). Summed from the seams, where S' vanishes to every order, they make
+    p meet x and g there to every order on any grid; they are exact for
+    d = 0. The samples, about n cells of width eps/C, cover the identity
+    part, the ramps, the middle band and the g part, both seams nodes.
 
     p's rule is x itself at and below b + eps and g(x) itself at and above
     c - eps, on all of R and not just on (b, c); a join relies on that to use
@@ -566,115 +604,75 @@ def glue_id_and_diff(g: NumericDiffeo, eps, n: int = 4096) -> NumericDiffeo:
     eps = float(eps)
     if not (0.0 < eps < span / 4.0):
         raise DomainError(f"eps must lie in (0, {span / 4.0}), got {eps}")
-    scale = max(1.0, abs(b), abs(c))
 
-    lo_seam, hi_seam = b + eps, c - eps
-    F = bump_plateau(b - eps, b, lo_seam, b + 2 * eps)
-    R = bump_plateau(c - 2 * eps, hi_seam, c, c + eps)
-    beta = bump_plateau(lo_seam, b + 2 * eps, c - 2 * eps, hi_seam)
-    # gamma's left pair of smoothsteps, F's right factor and beta's left one,
-    # rises on [lo_seam, b2]; its right pair, R's left factor and beta's
-    # right one, on [c2, hi_seam]
-    b2, c2 = beta.l1, beta.r1
+    lo_seam, hi_seam, b2, c2 = b + eps, c - eps, b + 2 * eps, c - 2 * eps
+    cells = math.ceil(max(int(n), 16) * (eps / span))
+    weights, S, J = _ramp_table(cells)
+    offsets, omega, tail = _panel()
+    # each ramp's nodes run from its seam: the right ramp's from c - eps down
+    left = np.linspace(lo_seam, b2, cells + 1)
+    right = np.linspace(hi_seam, c2, cells + 1)
+    # the middle band gets cells of its own only where it is at least half a
+    # cell wide; elsewhere it is the node b2 alone, and c2 is no node
+    middle = np.linspace(b2, c2, round((c2 - b2) * cells / eps) + 1)
+    ends = np.linspace(hi_seam, c, cells + 1)
+    # g at the right ramp's Simpson nodes, flat, c2 the last, and past
+    # c - eps at the samples, in one call; K sums d = g - x at the nodes
+    nodes = np.append(right[:-1, None] + (right[1:] - right[:-1])[:, None] * offsets[:8], c2)
+    values = g(np.concatenate((nodes, ends[1:])))
+    ramp = values[:nodes.size]
+    if np.count_nonzero(ramp[1:] >= ramp[:-1]):
+        raise DomainError("transition is not increasing on the glue's right ramp")
+    d = ramp - nodes
+    K = np.concatenate(([0.0], np.cumsum(
+        (weights * np.lib.stride_tricks.sliding_window_view(d, 9)[::8]).sum(axis=1))))
 
-    def integrand(t: np.ndarray, head: int, tail: int) -> tuple:
-        """F + R*g' and beta at nodes t in [b, c]. The left pair is
-        evaluated on t[:head] only and the right pair on t[tail:] only: the
-        caller puts every node below b2 in the one and every node above c2 in
-        the other, and elsewhere each pair is exactly 0 and 1. F's left
-        factor and R's right factor are exactly 1 on [b, c], so each plateau
-        is its live factors' product, and g' is read only where R is
-        nonzero."""
-        out, on_beta = np.zeros(t.shape), np.ones(t.shape)
-        left_ramp, right_ramp = t[:head], t[tail:]
-        # the smoothstep works point by point, so one call on the four
-        # factors' arguments gives each factor its own values
-        at = 2 * head + right_ramp.size
-        s = _smoothstep_arr(np.concatenate(((F.r0 - left_ramp) / (F.r0 - F.r1),
-                                            (left_ramp - beta.l0) / (beta.l1 - beta.l0),
-                                            (right_ramp - R.l0) / (R.l1 - R.l0),
-                                            (beta.r0 - right_ramp) / (beta.r0 - beta.r1))))
-        out[:head], on_beta[:head] = s[:head], s[head:2 * head]
-        r = s[2 * head:at]
-        live = r.nonzero()[0]
-        if live.size:
-            gp = g.derivative_grid(right_ramp[live])
-            if np.count_nonzero(gp <= 0.0):
-                raise DomainError("transition derivative is not positive on the grid")
-            out[tail + live] += r[live] * gp
-        on_beta[tail:] *= s[at:]
-        return out, on_beta
-
-    # a grid node within rounding (1e-12 of the scale) of a seam would leave
-    # a cell too thin to stay increasing once the samples are snapped: the
-    # seam replaces it, so no node equals a seam
-    grid = np.linspace(b, c, max(int(n), 16) + 1)
-    near = np.minimum(np.abs(grid - lo_seam), np.abs(grid - hi_seam)) <= 1e-12 * scale
-    near[[0, -1]] = False
-    grid = grid[~near]
-    i_lo, i_hi = grid.searchsorted((lo_seam, hi_seam)).tolist()
-    xs = np.concatenate((grid[:i_lo], (lo_seam,), grid[i_lo:i_hi], (hi_seam,), grid[i_hi:]))
-    i_fit = i_hi + 1
-    # The quadrature cells, by their first and last panel nodes: [0, n_id)
-    # lie in [b, lo_seam], where alpha is 1 and beta 0; [n_id, m_lo) start
-    # below b2 and cross the left ramp; [m_lo, m_hi) lie in [b2, c2], where
-    # alpha is 0 and beta 1; [r_lo, i_fit) end above c2 and cross the right
-    # ramp. Near eps = span/4 the two ramps' cells overlap and [m_lo, m_hi)
-    # is empty. Only the ramp cells get nodes, and every row still goes
-    # through one matvec: BLAS may round the last (rows mod 4) rows of a
-    # product over a slice of rows another way.
-    left = xs[:i_fit]
-    widths = xs[1:i_fit + 1] - left
-    last = left + widths
-    n_id = int(last.searchsorted(lo_seam, side="right"))
-    m_lo = int(left.searchsorted(b2))
-    r_lo = int(last.searchsorted(c2, side="right"))
-    m_hi = max(m_lo, r_lo)
-    nodes = _panel_nodes(np.concatenate((left[n_id:m_lo], left[m_hi:])),
-                         np.concatenate((widths[n_id:m_lo], widths[m_hi:])))
-    head = 9 * (m_lo - n_id)
-    values = np.array(integrand(nodes, head, head + 9 * (r_lo - m_hi))).reshape(2, -1, 9)
-    rows = np.empty((2, i_fit, 9))
-    rows[0, :n_id], rows[1, :n_id] = 1.0, 0.0
-    rows[0, m_lo:m_hi], rows[1, m_lo:m_hi] = 0.0, 1.0
-    rows[:, n_id:m_lo], rows[:, m_hi:] = values[:, :m_lo - n_id], values[:, m_lo - n_id:]
-    i_alpha, i_beta = (np.concatenate(([0.0], np.cumsum(_panel_sums(r, widths)))) for r in rows)
-
-    target = float(g(hi_seam))
-    numerator = target - b - i_alpha[-1]
-    mass = float(i_beta[-1])
-    lam = numerator / mass
+    # p's closed forms on the middle band and the right ramp meet at c2
+    lam = float(1.0 + (d[-1] * (1.0 - S[-1]) + K[-1]) / (c2 - b2 + 2.0 * eps * J[-1]))
     if lam <= 0.0:
-        raise GlueInfeasible(
-            f"no positive bump mass at eps={eps}: the transition leaves "
-            f"too little room ({numerator:.3e})", eps=eps, mass=numerator)
+        raise GlueInfeasible(f"no positive bump mass at eps={eps}: the transition leaves "
+                             "too little room", eps=eps, mass=lam * (span - 3.0 * eps))
+    p_b2 = b2 + (lam - 1.0) * eps * J[-1]
 
-    ys = np.empty_like(xs)
-    ys[:i_fit + 1] = b + i_alpha + lam * i_beta
-    flat = xs[:i_lo + 1]
-    presnap_id = float(np.max(np.abs(ys[:i_lo + 1] - flat)))
-    presnap_g = abs(float(ys[i_fit]) - target)
-    ys[:i_lo + 1] = flat
-    ys[i_fit:] = g(xs[i_fit:])
-    integral_residual = presnap_g / span
+    def on_right(t, s_t, j_t, k_t, d_t):
+        return t + (1.0 - s_t) * d_t - (lam - 1.0) * eps * j_t + k_t
 
-    report = GlueReport(eps=eps, lam=float(lam), integral_residual=float(integral_residual),
-                        presnap_id=presnap_id, presnap_g=presnap_g, cells=len(xs) - 1)
+    xs = np.concatenate((np.linspace(b, lo_seam, cells + 1)[:-1], left[:-1], middle,
+                         right[-2:0:-1], ends))
+    ys = np.concatenate((xs[:cells], left[:-1] + (lam - 1.0) * eps * J[:-1],
+                         p_b2 + lam * (middle - b2),
+                         on_right(right[-2:0:-1], S[-2:0:-1], J[-2:0:-1], K[-2:0:-1],
+                                  d[-9:0:-8]),
+                         ramp[:1], values[nodes.size:]))
+    presnap_g = abs(float(on_right(c2, S[-1], J[-1], K[-1], d[-1]) - (p_b2 + lam * (c2 - b2))))
+    report = GlueReport(eps=eps, lam=lam, integral_residual=presnap_g / span,
+                        presnap_id=0.0, presnap_g=presnap_g, cells=len(xs) - 1)
 
     def between(t: np.ndarray) -> np.ndarray:
-        """p on (lo_seam, hi_seam): the sample at the left end of t's cell
-        plus the 4-panel Simpson integral of gamma from there to t. Where that
-        panel lies in [b2, c2] by the quadrature's test, gamma is lam at all
-        nine nodes and no factor is evaluated."""
-        i = xs.searchsorted(t, side="right") - 1
-        left = xs[i]
-        widths = t - left
-        off = ((left < b2) | (left + widths > c2)).nonzero()[0]
-        rows = np.full((t.size, 9), lam)
-        if off.size:
-            on_alpha, on_beta = integrand(_panel_nodes(left[off], widths[off]), 9 * off.size, 0)
-            rows[off] = (on_alpha + lam * on_beta).reshape(-1, 9)
-        return ys[i] + _panel_sums(rows, widths)
+        """p on (lo_seam, hi_seam): on a ramp, S~, J~ and K at t are the
+        table's at the end of t's cell nearer the seam plus 9-node sums from
+        there; the middle band reads no S' and no g; the right ramp wins
+        where c2 < b2."""
+        out = p_b2 + lam * (t - b2)
+        for sign, ramp_nodes, on in ((1.0, left, t < b2), (-1.0, right, t > c2)):
+            if not np.count_nonzero(on):
+                continue
+            x = t[on]
+            i = (sign * ramp_nodes).searchsorted(sign * x, side="right") - 1
+            start = ramp_nodes[i]
+            delta = np.abs(x - start) / eps
+            slopes = _smoothstep_slope((i / cells)[:, None] + delta[:, None] * offsets)
+            j_t = J[i] + delta * (S[i] + delta * (slopes * tail).sum(axis=1))
+            if sign > 0.0:
+                out[on] = x + (lam - 1.0) * eps * j_t
+                continue
+            at = start[:, None] + (x - start)[:, None] * offsets
+            at[:, -1] = x
+            d_at = np.asarray(g(at.ravel()), dtype=float).reshape(-1, 9) - at
+            slopes *= omega
+            out[on] = on_right(x, S[i] + delta * slopes.sum(axis=1), j_t,
+                               K[i] + delta * (slopes * d_at).sum(axis=1), d_at[:, -1])
+        return out
 
     def p_call(x: np.ndarray) -> np.ndarray:
         return _piecewise(x.copy(), x, [x >= hi_seam, (x > lo_seam) & (x < hi_seam)],

@@ -105,7 +105,7 @@ def real_pow(base: Real, exp: Real) -> Real:
     exactly when numerator and denominator are perfect q-th powers; otherwise
     the result degrades to float. base must be positive unless exp is
     integral (odd-root conventions are not needed anywhere in the package).
-    An exact power too long to print is refused (see _exact_pow).
+    An exact power too long to print, or a float one that underflows, is refused.
     """
     if isinstance(base, Fraction) and isinstance(exp, Fraction):
         if exp.denominator == 1:
@@ -115,11 +115,13 @@ def real_pow(base: Real, exp: Real) -> Real:
         root = _fraction_root(base, exp.denominator)
         if root is not None:
             return _exact_pow(root, exp.numerator)
-        return _in_float_range(base) ** _in_float_range(exp)
     b, e = _in_float_range(base), _in_float_range(exp)
     if b <= 0 and not float(e).is_integer():
         raise ValueError("fractional power of a non-positive base")
-    return b ** e
+    power = b ** e
+    if power == 0.0 and b != 0.0:
+        raise DomainError("a nonzero power is too small for a float; a value is out of float range")
+    return power
 
 
 def _in_float_range(x: Real) -> float:

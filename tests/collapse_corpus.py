@@ -29,8 +29,11 @@ every order a certificate reaches is covered.
 Floats are written by repr, so two trees that compute the same bits write
 the same bytes: run it on both and cmp. When they differ, --diff prints
 every differing leaf of the two dumps, grouped by its field name (the last
-key on its path) with a count per field, and exits 1; it exits 0 when every
-leaf agrees.
+key on its path) with a count per field, then every bool leaf that flips
+(a certificate's "passed", say), the total, and last one line per field:
+its count and its largest absolute and relative change, relative to the
+larger magnitude of the two values. It exits 1 if any leaf differs and 0
+when every leaf agrees.
 """
 
 import hashlib
@@ -189,22 +192,45 @@ def _leaf(value) -> str:
     return "<missing>" if value is _MISSING else json.dumps(value, sort_keys=True)
 
 
+def _number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _change(leaves) -> str:
+    """The largest absolute and relative change among the numeric leaves,
+    relative to the larger magnitude of the two."""
+    pairs = [(x, y) for _, x, y in leaves if _number(x) and _number(y)]
+    if not pairs:
+        return "no numeric change"
+    absolute = max(abs(y - x) for x, y in pairs)
+    relative = max(abs(y - x) / max(abs(x), abs(y)) for x, y in pairs)
+    return f"max abs change {absolute:.3g}, max rel change {relative:.3g}"
+
+
 def diff(path_a: str, path_b: str) -> int:
-    """Print the leaves where two dumps differ, grouped by field name; the
-    exit code is 1 if any leaf differs."""
+    """Print the leaves where two dumps differ, grouped by field name, every
+    bool leaf that flips, the total, and last one line per field with its
+    count and its largest absolute and relative change; the exit code is 1
+    if any leaf differs."""
     with open(path_a, encoding="utf-8") as fa, open(path_b, encoding="utf-8") as fb:
         a, b = json.load(fa), json.load(fb)
     fields: dict = {}
     for path, x, y in _differing(a, b):
         field = next((p for p in reversed(path) if isinstance(p, str)), "<top>")
         fields.setdefault(field, []).append((path, x, y))
+    flips = []
     for field, leaves in sorted(fields.items()):
         print(f"{field}: {len(leaves)} differing")
         for path, x, y in leaves:
             where = "".join(f"[{p!r}]" for p in path)
             print(f"  {where}: {_leaf(x)} -> {_leaf(y)}")
+            if isinstance(x, bool) or isinstance(y, bool):
+                flips.append(f"flip {where}: {_leaf(x)} -> {_leaf(y)}")
+    print("\n".join(flips) if flips else "no bool leaf flips")
     total = sum(map(len, fields.values()))
     print(f"{total} differing leaves in {len(fields)} fields")
+    for field, leaves in sorted(fields.items()):
+        print(f"{field}: {len(leaves)} differing, {_change(leaves)}")
     return 1 if total else 0
 
 

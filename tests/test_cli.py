@@ -579,6 +579,10 @@ def test_psi_past_float_range_is_input_error(a, code, capsys):
 #: A germ whose coefficients no float holds: |c| of 1e4000 and of 1e-4000.
 TINY_GERM = {"neg": [{"c": "-1e4000", "e": 1}], "pos": [{"c": "1e-4000", "e": 3}],
              "orientation": "preserving"}
+#: A germ whose inverse has the coefficient (3e300)^(-5/3), about 1e-500,
+#: which no float holds.
+UNDERFLOW_GERM = {"neg": [{"c": "-1", "e": 1}], "pos": [{"c": "3e300", "e": "3/5"}],
+                  "orientation": "preserving"}
 
 
 @pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
@@ -588,13 +592,17 @@ TINY_GERM = {"neg": [{"c": "-1e4000", "e": 1}], "pos": [{"c": "1e-4000", "e": 3}
     ["classify", "--a", "2e-400", "--b", "5e399"],
     ["germ", "invert", "--h", "GERM"],
     ["structure", "same", "--h", "GERM", "--g", "GERM", "--k", "2"],
-], ids=["psi-2e-400", "psi-3e-330", "classify", "germ-invert", "structure-same"])
+    ["germ", "invert", "--h", "UNDERFLOW"],
+], ids=["psi-2e-400", "psi-3e-330", "classify", "germ-invert", "structure-same",
+        "germ-invert-underflow"])
 def test_values_past_the_small_end_of_float_range_are_input_errors(write, argv, flags,
                                                                    capsys):
     # a nonzero value whose float is 0.0 is refused where a root or a
-    # negative power of it would be taken in floats
-    path = write("tiny.json", TINY_GERM)
-    assert run([path if a == "GERM" else a for a in argv] + flags) == EXIT_INPUT
+    # negative power of it would be taken in floats, and so is a float power
+    # of a nonzero value that comes out 0.0
+    paths = {"GERM": write("tiny.json", TINY_GERM),
+             "UNDERFLOW": write("underflow.json", UNDERFLOW_GERM)}
+    assert run([paths.get(a, a) for a in argv] + flags) == EXIT_INPUT
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("input error:") and "out of float range" in err

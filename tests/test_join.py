@@ -31,6 +31,7 @@ from twoorigins.join import (
     verify_ck_numeric,
 )
 
+import glue_oracle
 import glue_reference
 import inverse_reference
 from glue_oracle import carried_residual
@@ -458,7 +459,7 @@ def test_glue_x2_pinned_values():
     assert all(a < b for a, b in zip(ys, ys[1:]))
 
 
-def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes(monkeypatch):
+def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes():
     seen = []
 
     def square(x):
@@ -466,33 +467,31 @@ def test_glue_reads_g_past_the_right_seam_only_at_its_snapped_nodes(monkeypatch)
         return x * x
 
     g = NumericDiffeo.from_function(square, (0.0, 1.0), n=256)
-    sums = []
-    panel_sums = join_mod._panel_sums
-
-    def recorded(rows, widths):
-        cells = panel_sums(rows, widths)
-        sums.append(cells)
-        return cells
-
-    monkeypatch.setattr(join_mod, "_panel_sums", recorded)
     seen.clear()
     p = glue_id_and_diff(g, 0.1, n=4096)
     hi_seam = 1.0 - 0.1
-    # g' stencil nodes sit at most 2h = 2e-5 of the span past a quadrature
-    # node, so past hi_seam + 2h only the samples snapped to g are read,
-    # each once
-    points = np.concatenate(seen)
-    snapped = np.array(p.xs)[np.array(p.xs) >= hi_seam]
-    assert np.array_equal(np.sort(points[points > hi_seam + 2e-5]), snapped[1:])
-    # the glue's first two panel sums are the cells of alpha and beta; the
-    # quadrature ends at the seam, and the report holds the balance there
-    alpha_cells, beta_cells = sums[:2]
-    assert p.xs[len(alpha_cells)] == hi_seam
+    # one call: the right ramp's 8C + 1 Simpson nodes from c - eps down to
+    # c - 2 eps, then past c - eps only the samples snapped to g, each once,
+    # with no stencil margin
+    (points,) = seen
+    xs = np.array(p.xs)
+    assert np.array_equal(points[points > hi_seam], xs[xs > hi_seam])
+    ramp = points[points <= hi_seam]
+    cells = math.ceil(4096 * 0.1)
+    assert ramp.size == 8 * cells + 1 and ramp[0] == hi_seam and ramp[-1] == 1.0 - 2 * 0.1
+    assert np.all(np.diff(ramp) < 0.0)
+    # the ramp's sums run from c - eps, where p's closed form is g's own
+    # value up to rounding; lambda is fitted where the middle band's closed
+    # form meets the right ramp's, at c - 2 eps, and the report holds the
+    # balance left there, which reads rounding only
     rep = p.glue
-    balance = abs(0.0 + np.cumsum(alpha_cells)[-1] + rep.lam * np.cumsum(beta_cells)[-1]
-                  - g(hi_seam))
-    assert rep.presnap_g == balance
-    assert rep.integral_residual == balance / 1.0
+    below = math.nextafter(hi_seam, 0.0)
+    assert abs(p(below) - g(below)) <= 2 * 2.0 ** -52
+    assert rep.presnap_g <= 4 * 2.0 ** -52
+    assert rep.integral_residual == rep.presnap_g / 1.0
+    assert rep.presnap_id == 0.0
+    c2 = 1.0 - 2 * 0.1
+    assert abs(p(math.nextafter(c2, 1.0)) - p(c2)) <= rep.presnap_g + 4 * 2.0 ** -52
 
 
 def test_glue_snap_is_exact_on_the_outer_zones():
@@ -604,17 +603,16 @@ def test_glue_seam_one_ulp_from_a_grid_node():
     assert collapse_chain(ChainAtlas(charts, (g,)), k=2, tol=1e-3).passed
 
 
-def test_glue_matches_the_all_cells_reference_bit_for_bit():
-    # the glue evaluates each pair of gamma's factors only on the cells its
-    # ramp crosses, and p reads gamma as lam on the middle band; the
-    # reference evaluates every factor on every cell and at every point
+def glue_cases() -> list:
+    """(g, eps or None for glue_auto, n) of the glue comparisons: eps near
+    span/4, where the middle band holds a cell or none; coarse grids, where a
+    cell spans a good part of a ramp; the 2-chart chains of the benchmark;
+    ends off the dyadic grid and cell counts that are not powers of two;
+    steep maps, where glue_auto halves eps; and the one-ulp bend."""
     cases = [(x2_diffeo(), 0.1, 4096), (x2_diffeo(), 0.2, 1001), (x2_diffeo(), None, 4096)]
     r = random.Random(27)
     for frac in (0.24, 0.2499):
         for n in (4096, 4093, 1001, 16, 21):
-            # the two ramps' cells overlap, and the middle band holds at most
-            # a few samples; on the coarse grids a cell spans a good part of
-            # a ramp, where a factor read as its plateau constant shows
             lo = r.uniform(-1.0, 1.0)
             hi = lo + r.uniform(0.3, 0.6)
             cases.append((bent_diffeo(lo, hi, *gen.transition_params(r)), frac * (hi - lo), n))
@@ -626,7 +624,6 @@ def test_glue_matches_the_all_cells_reference_bit_for_bit():
         cases.append((bent_diffeo(*overlap, *spec["params"][0]), None, 4096))
     r = random.Random(7)
     for n in (4093, 4094, 4095, 4097, 1001):
-        # ends off the dyadic grid, and cell counts that are not a power of two
         lo = r.uniform(-1.0, 1.0)
         hi = lo + r.uniform(0.3, 0.6)
         cases.append((bent_diffeo(lo, hi, *gen.transition_params(r)), None, n))
@@ -636,8 +633,16 @@ def test_glue_matches_the_all_cells_reference_bit_for_bit():
         cases.append((steep, None, 4096))
     cases.append((bent_diffeo(ONE_ULP_IMAGES[1][0], ONE_ULP_IMAGES[0][1], *ONE_ULP_BEND),
                    None, 4096))
-    halved, fitted_cells = 0, set()
-    for g, eps, n in cases:
+    return cases
+
+
+def test_glue_matches_the_all_cells_reference_bit_for_bit():
+    # the glue reads the ramps' samples straight off its cached table, and a
+    # point as the table's value at the end of its cell nearer the seam plus
+    # a partial sum; the reference builds its sums afresh and puts every
+    # sample and point through one routine
+    halved, bare_middle = 0, 0
+    for g, eps, n in glue_cases():
         b, c = g.domain
         t = np.linspace(b - 0.1 * (c - b), c + 0.1 * (c - b), 301)
         glued, calls = [], []
@@ -660,16 +665,105 @@ def test_glue_matches_the_all_cells_reference_bit_for_bit():
         assert glued[0] == glued[1]
         assert calls[0] == calls[1]
         halved += p.glue.eps < (c - b) / 8.0
-        fitted_cells.add(p.xs.index(p.seams[1]) % 4)
-    # eps was halved at least three times, and the fitted quadratures have
-    # every row count mod 4 that a BLAS product rounds by its own path
+        bare_middle += c2 not in p.xs
+    # eps was halved at least three times, and some middle bands are too
+    # narrow for a cell of their own
     assert halved >= 3
-    assert fitted_cells == {0, 1, 2, 3}
+    assert bare_middle >= 3
+
+
+def test_glue_agrees_with_the_all_cells_quadrature_oracle():
+    # the oracle integrates gamma = F + R g' + lambda beta on every cell, with
+    # g' from its stencil: the closed form differs from it by the two rules'
+    # quadrature errors, at most 1.1e-12 of max(1, |x|) where n >= 1001 and
+    # 6.2e-6 on the coarse grids (two cells a ramp at n = 16), lambda by
+    # 1.5e-11 and 1.8e-5, and glue_auto picks the same eps
+    for g, eps, n in glue_cases():
+        b, c = g.domain
+        t = np.linspace(b - 0.1 * (c - b), c + 0.1 * (c - b), 301)
+        p, q = (lib.glue_auto(g, n=n) if eps is None else lib.glue_id_and_diff(g, eps, n=n)
+                for lib in (join_mod, glue_oracle))
+        assert p.glue.eps == q.glue.eps
+        bound = 1e-11 if n >= 1001 else 2e-5
+        assert np.max(np.abs(p(t) - q(t)) / np.maximum(1.0, np.abs(t))) <= bound
+        assert abs(p.glue.lam / q.glue.lam - 1.0) <= 10 * bound
+
+
+def test_glue_of_the_identity_is_the_identity_to_the_bit():
+    # the ramps' sums run over g less the identity, so the identity's part
+    # is exact: lambda is 1 and p is x
+    for lo, hi in ((0.0, 1.0), (-3.0, -1.5)):
+        g = NumericDiffeo.from_function(lambda x: x, (lo, hi), n=64)
+        t = np.concatenate((np.linspace(lo - 0.5, hi + 0.5, 2001),
+                            np.linspace(lo, hi, 4097)[1:-1]))
+        for n in (16, 21, 512, 4096):
+            p = glue_auto(g, n=n)
+            assert p.glue.lam == 1.0
+            assert np.max(np.abs(p(t) - t)) <= 1e-15 * max(1.0, abs(lo), abs(hi))
+            assert np.max(np.abs(np.array(p.ys) - np.array(p.xs))) <= 1e-15 * max(1.0, abs(lo))
+
+
+def test_glue_of_a_transition_that_is_the_identity_on_the_right_ramp_fits_lambda_one():
+    # g bends on (0, 3/4) and is x on [3/4, 1], which holds the right ramp
+    # [c - 2 eps, c - eps] and the part past it at eps = 1/8: the discrete
+    # sums are exact for it, so lambda is 1 and the glue is the identity
+    def bend(x):
+        return np.where(x < 0.75, x + x * x * (0.75 - x) ** 2, x)
+
+    g = NumericDiffeo.from_function(bend, (0.0, 1.0), n=256)
+    for n in (16, 21, 1001, 4096):
+        p = glue_id_and_diff(g, 0.125, n=n)
+        assert p.glue.lam == 1.0
+        t = np.linspace(0.0, 1.0, 1001)
+        assert np.array_equal(p(t), t)
+
+
+def test_glue_meets_x_and_g_at_its_seams_to_every_order_on_any_grid():
+    # each ramp's sums run from its seam, where S' vanishes to every order,
+    # so p - x and p - g are flat at b + eps and c - eps however coarse the
+    # cells: the seam residuals of 16 cells are those of 4096
+    g = bent_diffeo(0.25, 0.875, 0.3, -0.1)
+    for frac in (0.1, 0.15, 0.2):
+        certs = [verify_ck_numeric(glue_id_and_diff(g, frac * 0.625, n=n), 2,
+                                   tol=(1e-9, 1e-7)) for n in (16, 21, 40, 4096)]
+        assert all(cert.passed for cert in certs)
+        assert max(cert.residuals[1] for cert in certs) <= 1.1 * certs[-1].residuals[1]
+
+
+def test_glue_rejects_a_transition_that_dips_between_its_samples():
+    # increasing at its 257 samples, but falling on a stretch inside
+    # (c - 2 eps, c - eps) between two of them: the ramp's reads see it
+    centre, width = 0.849609375, 0.0015
+
+    def dip(x):
+        s = np.clip((x - centre) / width, -1.0, 1.0)
+        with np.errstate(divide="ignore"):
+            bump = np.where(np.abs(s) < 1.0, np.exp(-1.0 / (1.0 - s * s)), 0.0)
+        return x - 0.01 * bump
+
+    g = NumericDiffeo.from_function(dip, (0.0, 1.0), n=256)
+    assert np.all(np.diff(g.ys) > 0.0)
+    assert np.any(np.diff(dip(np.linspace(0.84, 0.86, 2001))) < 0.0)
+    with pytest.raises(DomainError):
+        glue_id_and_diff(g, 0.1)
+
+
+def test_glue_auto_builds_one_ramp_table_per_cell_count():
+    steep = NumericDiffeo.from_function(gen.steep_map(0.25, 1.5, 40, 0.02), (0.25, 1.5), n=512)
+    glue_auto(steep, n=4096)
+    before = join_mod._ramp_table.cache_info()
+    again = NumericDiffeo.from_function(gen.steep_map(0.25, 1.5, 20, 0.01), (0.25, 1.5), n=512)
+    p = glue_auto(again, n=4096)
+    after = join_mod._ramp_table.cache_info()
+    assert p.glue.eps < (1.5 - 0.25) / 8  # eps was halved
+    assert after.misses == before.misses
+    assert after.hits > before.hits
+    assert after.maxsize >= 7
 
 
 def test_glued_map_on_its_middle_band_evaluates_no_factor(monkeypatch):
     # on [b + 2 eps, c - 2 eps] gamma is lam: p reads it without g's rule
-    # or any smoothstep
+    # or any smoothstep slope
     g = bent_diffeo(0.3, 0.75, 0.3, -0.1)
     seen = []
     counted = NumericDiffeo(g.xs, g.ys, underlying=lambda x: (seen.append(x.size),
@@ -679,10 +773,10 @@ def test_glued_map_on_its_middle_band_evaluates_no_factor(monkeypatch):
     band = np.array([x for x in p.xs if b2 <= x <= c2])
     points = np.concatenate((band, 0.5 * (band[1:] + band[:-1])))
 
-    def no_factor(t):
-        raise AssertionError("a smoothstep factor was evaluated")
+    def no_slope(t):
+        raise AssertionError("a smoothstep slope was evaluated")
 
-    monkeypatch.setattr(join_mod, "_smoothstep_arr", no_factor)
+    monkeypatch.setattr(join_mod, "_smoothstep_slope", no_slope)
     seen.clear()
     values = p(points)
     assert [p(x) for x in points[::50].tolist()] == values[::50].tolist()
