@@ -5,10 +5,11 @@ difference quotients taken at a halving sequence of steps and extrapolated
 in a Neville tableau. Callers evaluate the stencil nodes themselves (one at
 a time, or all at once as an array), so this module only builds the nodes
 and combines the values: one_sided forms the quotients from stencil values
-and extrapolates them, and extrapolate runs the tableau alone on quotients a
-caller has formed with one_sided's operations (a join certificate forms all
-of its quotients in one array pass). It imports no numpy, which keeps germs
-numpy-free.
+and extrapolates them with extrapolate, the tableau alone. Join certificates
+mirror both in numpy, bit for bit: one array pass forms the quotients of
+every seam of several maps, and one array tableau (join._tableau) gives
+extrapolate's value for every row. This module imports no numpy, which
+keeps germs numpy-free.
 """
 
 from __future__ import annotations

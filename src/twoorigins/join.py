@@ -97,10 +97,10 @@ def _slope_offsets() -> np.ndarray:
     return np.array([[2.0], [1.0], [-1.0], [-2.0]])
 
 
-def _slope_nodes(xs: np.ndarray, lo: float, hi: float) -> tuple:
+def _slope_nodes(xs: np.ndarray, lo, hi) -> tuple:
     """The nodes of the 4th-order central first-derivative stencil at xs
     inside (lo, hi), four per point, row by row, and the steps, which shrink
-    near the ends of the interval."""
+    near the ends of the interval; lo and hi are floats or one per point."""
     span = hi - lo
     h = np.maximum(np.minimum(np.minimum(1e-5 * span, (xs - lo) / 2.5), (hi - xs) / 2.5),
                    1e-12 * span)
@@ -843,6 +843,149 @@ def _weight_table() -> np.ndarray:
                     dtype=float)
 
 
+def _tableau(raw: np.ndarray) -> tuple:
+    """(values, errs) of _numerics.extrapolate on every row of raw, bit for
+    bit, from one tableau built column by column, C_m = (2^m C_{m-1}[1:] -
+    C_{m-1}[:-1]) / (2^m - 1). An entry's error is the larger of its two
+    disagreements, NaN read as inf: where the first is NaN the second is NaN
+    or inf, so extrapolate never picks it either. A row keeps its first least
+    finite error in extrapolate's order, else raw[:, 0]."""
+    rows, levels = raw.shape
+    # tab[m, l] is column m at level l, for every row; NaN above the diagonal
+    tab = np.full((levels, levels, rows), np.nan)
+    tab[0] = raw.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        for m, fac, div in zip(range(1, levels), _numerics._LEVEL_FAC, _numerics._LEVEL_DIV):
+            col = tab[m, m:]
+            np.multiply(fac, tab[m - 1, m:], out=col)
+            np.subtract(col, tab[m - 1, m - 1:-1], out=col)
+            np.divide(col, div, out=col)
+        entries = tab[1:, 1:]
+        errs = np.fmax(abs(entries - tab[:-1, 1:]), abs(entries - tab[:-1, :-1]))
+    # a row's entries level by level, then by column
+    errs = np.fmin(errs, np.inf).transpose(2, 1, 0).reshape(rows, -1)
+    at, best = np.arange(rows), errs.argmin(axis=1)
+    err = errs[at, best]
+    value = entries.transpose(2, 1, 0).reshape(rows, -1)[at, best]
+    return np.where(err < np.inf, value, raw[:, 0]), err
+
+
+def _certify(maps, k: int, tols: tuple) -> list:
+    """verify_ck_numeric's certificate of each of maps, in one pass: the
+    nodes of every map in one broadcast, each map called once on its own
+    nodes in turn, its values, grid slope and step powers checked before the
+    next is called (so the error raised is the first map's first), then the
+    quotients of every seam in one array pass and one _tableau.
+    """
+    doms = [m.domain for m in maps]
+    seams = [sorted({s for s in getattr(m, "seams", ()) if lo < s < hi})
+             for m, (lo, hi) in zip(maps, doms)]
+    counts = [len(ss) for ss in seams]
+    width = max(counts)
+    # a row a map: lo, its seams, then hi to the common width
+    bounds = np.array([[lo, *ss] + [hi] * (width + 1 - len(ss))
+                       for (lo, hi), ss in zip(doms, seams)], dtype=float)
+    lo, hi = bounds[:, :1], bounds[:, -1:]
+    live = np.arange(width) < np.array(counts)[:, None]
+
+    # a node past the float range is inf or NaN, silently, as a span is in
+    # Python floats; its map's values report it after every earlier map's
+    with np.errstate(over="ignore", invalid="ignore"):
+        # grid slopes, nudged off any seam; the padding, +inf, is near none
+        span = hi - lo
+        grid = lo + span * np.arange(1, _SLOPE_GRID) / _SLOPE_GRID
+        dist = np.abs(grid[:, :, None] - np.where(live, bounds[:, 1:-1], np.inf)[:, None, :])
+        near = dist.min(axis=2, initial=np.inf) < span / (4 * _SLOPE_GRID)
+        grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
+        inside = (lo < grid) & (grid < hi)
+        points = inside.sum(axis=1)
+        slope_nodes, h = _slope_nodes(grid[inside], lo.repeat(points), hi.repeat(points))
+        slope_nodes = slope_nodes.reshape(4, -1)
+
+        seam_nodes, entries = np.empty(0), []
+        if width:
+            # one-sided estimates of orders 1..k on both sides of every seam:
+            # entry e is (seam, order j, side) in that order, the left side
+            # first, with the steps of _numerics.halving(0.8 * gap / j)
+            s = bounds[:, 1:-1][live]
+            gaps = (s - bounds[:, :-2][live], bounds[:, 2:][live] - s)
+            h0 = 0.8 * np.array(gaps).T[:, None, :] / np.arange(1, k + 1)[:, None]
+            steps = h0.reshape(-1, 1) / _halvings()
+            e = np.arange(len(steps))
+            s, j, sign = s.repeat(2 * k), e // 2 % k + 1, e % 2 * 2.0 - 1.0
+            # the nodes s + (sign * i) * h of every entry's stencil rows, in
+            # the operations of _numerics.offsets; rows of order j < k drop i > j
+            i = np.arange(k + 1)
+            stencils = s[:, None, None] + (sign[:, None] * i)[:, None, :] * steps[:, :, None]
+            used = np.empty(stencils.shape, dtype=bool)
+            used[:] = (i <= j[:, None])[:, None, :]
+            seam_nodes = stencils[used]
+            entries = list(zip(sign.tolist(), j.tolist(), steps.tolist()))
+    per_seam = _CERT_LEVELS * k * (k + 3)  # the stencil nodes of one seam
+
+    mins, dens, seam_values, at, at_seam = [], [], [], 0, 0
+    for map_obj, n, count in zip(maps, points.tolist(), counts):
+        nodes = np.concatenate((*slope_nodes[:, at:at + n],
+                                seam_nodes[at_seam * per_seam:(at_seam + count) * per_seam]))
+        # a map past the float range overflows here, and is reported as such
+        with np.errstate(over="ignore", invalid="ignore"):
+            values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
+        if not np.isfinite(values).all():
+            raise DomainError("map values too large: the map overflows")
+        min_slope = math.inf
+        if n:
+            with np.errstate(over="ignore", invalid="ignore"):
+                min_slope = float(_slope_from(values[:4 * n], h[at:at + n]).min())
+            if not math.isfinite(min_slope):
+                raise DomainError("map values too large: the slope estimate overflows")
+        # one_sided's denominators (sign * h) ** j, in Python floats; a step
+        # that underflows to 0 or overflows leaves no quotient
+        try:
+            powers = [[(sg * step) ** jj for step in row]
+                      for sg, jj, row in entries[2 * k * at_seam:2 * k * (at_seam + count)]]
+        except OverflowError:
+            raise DomainError("seam steps too large: a difference quotient overflows") from None
+        if any(0.0 in row for row in powers):
+            raise DomainError("seams too close: a difference quotient's step underflows")
+        dens += powers
+        mins.append(min_slope)
+        seam_values.append(values[4 * n:])
+        at, at_seam = at + n, at_seam + count
+
+    estimates = []
+    if width:
+        # each quotient is 0.0 + w_0 v_0 + ... + w_j v_j, left to right, over
+        # its denominator: one_sided's sum. The padded terms add 0.0 to a sum
+        # that is never -0.0, so they change no bit, and numpy's overflow
+        # and invalid results are what Python's floats give
+        rows = np.zeros(stencils.shape)
+        rows[used] = np.concatenate(seam_values)
+        weights = _weight_table()[j]
+        with np.errstate(over="ignore", invalid="ignore"):
+            acc = 0.0 + weights[:, None, 0] * rows[:, :, 0]
+            for col in range(1, k + 1):
+                acc = acc + weights[:, None, col] * rows[:, :, col]
+            raw = acc / np.array(dens)
+        estimates = _tableau(raw)[0].tolist()
+
+    certs, at = [], 0
+    for ss, min_slope in zip(seams, mins):
+        residuals = [0.0] * k
+        own = estimates[at:at + 2 * k * len(ss)]
+        for n, (left, right) in enumerate(zip(own[::2], own[1::2])):
+            j = n % k + 1
+            scale = max(1.0, abs(left), abs(right))
+            residuals[j - 1] = max(residuals[j - 1], abs(left - right) / scale)
+            if j == 1:
+                min_slope = min(min_slope, left, right)
+        passed = all(r <= t for r, t in zip(residuals, tols)) and min_slope > -tols[0]
+        certs.append(SmoothCert(order=k, residuals=tuple(residuals), passed=passed,
+                                grid=tuple(ss), tolerances=tols,
+                                min_slope=0.0 if min_slope is math.inf else float(min_slope)))
+        at += len(own)
+    return certs
+
+
 def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     """Numeric order-k certificate for a monotone map with seams.
 
@@ -853,100 +996,19 @@ def verify_ck_numeric(map_obj, k: int, tol=None) -> SmoothCert:
     admits maps with a vanishing one-sided slope at a seam. A seam listed
     twice is read once. Failures are reported, never raised; a seam step
     whose power in a quotient underflows to 0 (seams a few floats apart) or
-    overflows, values that overflow, or values so large that the grid slope
-    overflows, raise DomainError.
+    overflows, values that overflow (a node past the float range reaches the
+    map as inf or NaN, without a warning), or values so large that the grid
+    slope overflows, raise DomainError.
 
     The map is called once: on the four central-stencil nodes of each of the
     31 interior grid points and on the one-sided stencil nodes of every
     order at both sides of every seam, together. The estimates are
-    _numerics.one_sided's: the difference quotients are formed for every
-    seam, order and side in one array pass, with one_sided's operations in
-    its order, and each row is extrapolated by _numerics.extrapolate.
+    _numerics.one_sided's: the quotients of every seam, order and side are
+    formed in one array pass, in one_sided's operations and order, and one
+    array tableau gives each row's _numerics.extrapolate value. This is the
+    one-map case of the pass collapse_chain and join_charts run on several.
     """
-    tols = _tolerances(k, tol)
-    lo, hi = map_obj.domain
-    span = hi - lo
-    seams = sorted({s for s in getattr(map_obj, "seams", ()) if lo < s < hi})
-
-    # grid slopes, nudged off any seam
-    grid = lo + span * np.arange(1, _SLOPE_GRID) / _SLOPE_GRID
-    if seams:
-        bounds = np.array([lo] + seams + [hi])
-        s = bounds[1:-1]
-        near = np.abs(grid[:, None] - s).min(axis=1) < span / (4 * _SLOPE_GRID)
-        grid = np.where(near, grid + span / (2 * _SLOPE_GRID), grid)
-    slope_nodes, h = _slope_nodes(grid[(lo < grid) & (grid < hi)], lo, hi)
-
-    nodes = [slope_nodes]
-    if seams:
-        # one-sided estimates of orders 1..k on both sides of every seam:
-        # entry e is (seam, order j, side) in that order, the left side
-        # first, with the steps of _numerics.halving(0.8 * gap / j)
-        gaps = bounds[1:] - bounds[:-1]
-        h0 = 0.8 * np.array((gaps[:-1], gaps[1:])).T[:, None, :] / np.arange(1, k + 1)[:, None]
-        steps = h0.reshape(-1, 1) / _halvings()
-        e = np.arange(len(steps))
-        s, j, sign = s.repeat(2 * k), e // 2 % k + 1, e % 2 * 2.0 - 1.0
-        # the nodes s + (sign * i) * h of every entry's stencil rows, in the
-        # operations of _numerics.offsets; rows of order j < k drop i > j
-        i = np.arange(k + 1)
-        stencils = s[:, None, None] + (sign[:, None] * i)[:, None, :] * steps[:, :, None]
-        used = np.empty(stencils.shape, dtype=bool)
-        used[:] = (i <= j[:, None])[:, None, :]
-        nodes.append(stencils[used])
-    nodes = np.concatenate(nodes)
-    # a map past the float range overflows here, and is reported as such
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = np.asarray(map_obj(nodes), dtype=float) if nodes.size else nodes
-    if not np.isfinite(values).all():
-        raise DomainError("map values too large: the map overflows")
-
-    min_slope = math.inf
-    if h.size:
-        with np.errstate(over="ignore", invalid="ignore"):
-            min_slope = float(_slope_from(values[:slope_nodes.size], h).min())
-        if not math.isfinite(min_slope):
-            raise DomainError("map values too large: the slope estimate overflows")
-    estimates = []
-    if seams:
-        # one_sided's denominators (sign * h) ** j, in Python floats; a step
-        # that underflows to 0 or overflows leaves no quotient
-        try:
-            dens = [[(sg * step) ** jj for step in row]
-                    for sg, jj, row in zip(sign.tolist(), j.tolist(), steps.tolist())]
-        except OverflowError:
-            raise DomainError("seam steps too large: a difference quotient overflows") from None
-        if any(0.0 in row for row in dens):
-            raise DomainError("seams too close: a difference quotient's step underflows")
-        # each quotient is 0.0 + w_0 v_0 + ... + w_j v_j, left to right, over
-        # its denominator: one_sided's sum. The padded terms add 0.0 to a sum
-        # that is never -0.0, so they change no bit, and numpy's overflow
-        # and invalid results are what Python's floats give
-        rows = np.zeros(stencils.shape)
-        rows[used] = values[slope_nodes.size:]
-        weights = _weight_table()[j]
-        with np.errstate(over="ignore", invalid="ignore"):
-            acc = 0.0 + weights[:, None, 0] * rows[:, :, 0]
-            for col in range(1, k + 1):
-                acc = acc + weights[:, None, col] * rows[:, :, col]
-            raw = acc / np.array(dens)
-        estimates = [_numerics.extrapolate(q)[0] for q in raw.tolist()]
-
-    residuals = [0.0] * k
-    for n, (left, right) in enumerate(zip(estimates[::2], estimates[1::2])):
-        j = n % k + 1
-        scale = max(1.0, abs(left), abs(right))
-        residuals[j - 1] = max(residuals[j - 1], abs(left - right) / scale)
-        if j == 1:
-            min_slope = min(min_slope, left, right)
-
-    if min_slope is math.inf:
-        min_slope = 0.0
-
-    passed = all(r <= t for r, t in zip(residuals, tols)) and min_slope > -tols[0]
-    return SmoothCert(order=k, residuals=tuple(residuals), passed=passed,
-                      grid=tuple(seams), min_slope=float(min_slope),
-                      tolerances=tols)
+    return _certify([map_obj], k, _tolerances(k, tol))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -1008,14 +1070,14 @@ def join_charts(U: IntervalChart, V: IntervalChart, g: NumericDiffeo,
     increasing self-map of the overlap (b, c) fixing its ends. The result
     covers (a, d) and agrees with U off the right part of the overlap and
     with V off the left part; both reparametrizations carry seam lists and
-    order-k certificates.
+    order-k certificates, from one certificate pass over the two.
     """
     ChainAtlas((U, V), (g,))  # the interleaving and g, checked as a two-chart chain
     tols = _tolerances(k, tol)
 
     P, Q, glue = _join_maps(U.image, V.image, g)
     return JoinResult(IntervalChart(f"{U.label}|{V.label}", (U.image[0], V.image[1])), P, Q,
-                      verify_ck_numeric(P, k, tols), verify_ck_numeric(Q, k, tols), glue)
+                      *_certify([P, Q], k, tols), glue)
 
 
 # ---------------------------------------------------------------------------
@@ -1062,7 +1124,8 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
     (the strict no-triple-overlap condition keeps each join's modification
     strip clear of earlier charts), so the end chart is exactly the identity
     on the next overlap, which a probe checks. The atlas has checked the
-    overlaps and transitions; each final r_i is certified once, at the end.
+    overlaps and transitions; the final r_i are certified at the end, in one
+    certificate pass that calls each of them once.
     """
     tols = _tolerances(k, tol)
     transitions = atlas.transitions
@@ -1092,7 +1155,7 @@ def collapse_chain(atlas: ChainAtlas, k: int = 2, n: int = 4096,
         r[old] = outer
         block = (block[0], imgs[j][1]) if right else (imgs[i][0], block[1])
 
-    certs = tuple(verify_ck_numeric(r[i], k, tols) for i in range(m))
+    certs = tuple(_certify([r[i] for i in range(m)], k, tols))
     agg = SmoothCert(
         order=k,
         residuals=tuple(max(c.residuals[j] for c in certs) for j in range(k)),

@@ -1,12 +1,14 @@
 """The seam certificate that formed its difference quotients row by row, kept
 as the reference the certificate tests compare the library against.
 
-join.verify_ck_numeric now forms the quotients of every seam, order and side
-in one array pass, with one_sided's operations in its order and its
-denominators in Python floats, builds the grid's stencil nodes in one
-broadcast and reads each distinct seam once. This one slices every stencil
-row out of a list of the map's values and calls one_sided on it, and builds
-the grid's nodes by concatenation. On maps whose seams are distinct and whose
+join.verify_ck_numeric, the one-map case of the pass join certifies several
+maps with, forms the quotients of every seam, order and side in one array
+pass, with one_sided's operations in its order and its denominators in
+Python floats, extrapolates them in one array tableau, builds the grid's
+stencil nodes in one broadcast and reads each distinct seam once. This one
+certifies one map: it slices every stencil row out of a list of the map's
+values and calls one_sided, with its scalar tableau, on it, and builds the
+grid's nodes by concatenation. On maps whose seams are distinct and whose
 steps neither underflow nor overflow, the two must give the same certificate,
 bit for bit.
 """

@@ -1012,14 +1012,29 @@ def _tiny_germ_command(*argv):
     return list(argv), {"h": TINY_GERM, "g": TINY_GERM}
 
 
+#: Hostile inputs of the exact subcommands that once broke the contract.
+HOSTILE_EXAMPLES = (
+    _tiny_germ_command("psi", "--a", "2e-400"),
+    _tiny_germ_command("psi", "--a", "3e-330"),
+    _tiny_germ_command("classify", "--a", "2e-400", "--b", "5e399"),
+    _tiny_germ_command("classify", "--a", "2e-400", "--b", "5e399", "--json"),
+    _tiny_germ_command("germ", "invert", "--h", "h"),
+    _tiny_germ_command("structure", "same", "--h", "h", "--g", "g", "--k", "2"),
+)
+
+
+def _with_examples(commands):
+    """hypothesis.example for each of commands, in order."""
+    def decorate(test):
+        for command in reversed(commands):
+            test = example(command)(test)
+        return test
+    return decorate
+
+
 @settings(max_examples=100, deadline=None)
 @given(exact_command())
-@example(_tiny_germ_command("psi", "--a", "2e-400"))
-@example(_tiny_germ_command("psi", "--a", "3e-330"))
-@example(_tiny_germ_command("classify", "--a", "2e-400", "--b", "5e399"))
-@example(_tiny_germ_command("classify", "--a", "2e-400", "--b", "5e399", "--json"))
-@example(_tiny_germ_command("germ", "invert", "--h", "h"))
-@example(_tiny_germ_command("structure", "same", "--h", "h", "--g", "g", "--k", "2"))
+@_with_examples(HOSTILE_EXAMPLES)
 def test_exact_subcommands_keep_the_exit_code_contract_on_hostile_input(command):
     # whatever the germs, numbers and tables: an exit code of the contract,
     # no traceback, and exit 1 only as an answer with its report. These
@@ -1030,6 +1045,49 @@ def test_exact_subcommands_keep_the_exit_code_contract_on_hostile_input(command)
     assert "Traceback" not in err and not err.startswith("internal error:")
     if code == EXIT_NEGATIVE:
         assert out.strip()
+
+
+#: Bounds on one hostile example run in a fresh interpreter. Measured over
+#: 18 runs at 0.09-0.24 s wall and 18.1-18.4 MB peak RSS (2-core x86-64
+#: Linux, Python 3.11.7); the margins leave room for a loaded machine.
+CHILD_WALL_S = 5.0
+CHILD_RSS_MB = 48.0
+#: The child lowers its own address-space limit, so that a runaway input
+#: fails alone, runs the CLI as python -m twoorigins.cli would, and at exit
+#: writes its peak RSS to the file named by its first argument. It reads the
+#: peak itself because wait4's ru_maxrss also counts the forking test
+#: process's peak, which Linux carries across exec.
+CHILD_MAIN = f"""
+import atexit, resource, runpy, sys
+resource.setrlimit(resource.RLIMIT_AS, ({2 ** 30}, {2 ** 30}))
+peak = sys.argv.pop(1)
+
+@atexit.register
+def write_peak():
+    with open("/proc/self/status") as status, open(peak, "w") as out:
+        out.write(next(line for line in status if line.startswith("VmHWM:")))
+
+runpy.run_module("twoorigins.cli", run_name="__main__", alter_sys=True)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("command", HOSTILE_EXAMPLES)
+def test_hostile_examples_end_in_bounded_time_and_memory(tmp_path, command):
+    argv, files = command
+    for name, doc in files.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [sys.executable, "-c", CHILD_MAIN, str(tmp_path / "peak"),
+            *(str(tmp_path / f"{a}.json") if a in files else a for a in argv)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    # a child still running at the bound is killed, and the run raises
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=CHILD_WALL_S)
+    assert proc.returncode in (EXIT_OK, EXIT_NEGATIVE, EXIT_INPUT, EXIT_NUMERIC)
+    assert "Traceback" not in proc.stderr and not proc.stderr.startswith("internal error:")
+    field, kib, unit = (tmp_path / "peak").read_text(encoding="utf-8").split()
+    assert (field, unit) == ("VmHWM:", "kB")
+    assert int(kib) / 1024 <= CHILD_RSS_MB
 
 
 # -- parser plumbing ------------------------------------------------------------------

@@ -1142,11 +1142,11 @@ def test_join_maps_read_the_glue_once_before_certifying(monkeypatch):
     assert math.isnan(Q(math.nan))
 
 
-def bent_chain(seed, m):
-    """The atlas of gen.chain_spec(seed, m), each transition sampled from
-    its bent map."""
+def bent_chain(seed, m, shift=0.0):
+    """The atlas of gen.chain_spec(seed, m), its images moved by shift, each
+    transition sampled from its bent map."""
     spec = gen.chain_spec(random.Random(seed), m)
-    images = spec["images"]
+    images = [(lo + shift, hi + shift) for lo, hi in spec["images"]]
     transitions = tuple(bent_diffeo(images[i + 1][0], images[i][1], lam, mu)
                         for i, (lam, mu) in enumerate(spec["params"]))
     return ChainAtlas(tuple(IntervalChart(f"c{i}", img) for i, img in enumerate(images)),
@@ -1172,19 +1172,71 @@ def test_collapse_certificate_catches_q_off_the_identity_at_its_cut(monkeypatch)
 
 
 def test_collapse_certifies_each_chart_once(monkeypatch):
-    # one certificate per input chart's final transition, none per join
-    certified = []
-    verify = join_mod.verify_ck_numeric
+    # one certificate pass over the input charts' final transitions, which
+    # calls each of them once; no join's P or Q is certified alone
+    passes = []
+    certify = join_mod._certify
 
-    def counted(map_obj, k, tol=None):
-        certified.append(map_obj)
-        return verify(map_obj, k, tol)
+    def counted(maps, k, tols):
+        wrapped = [Counted(m, m.domain, m.seams) for m in maps]
+        passes.append((list(maps), wrapped))
+        return certify(wrapped, k, tols)
 
-    monkeypatch.setattr(join_mod, "verify_ck_numeric", counted)
+    monkeypatch.setattr(join_mod, "_certify", counted)
     res = collapse_chain(four_chart_atlas(), k=2, tol=1e-4)
     assert res.passed
-    assert len(certified) == 4
-    assert certified == list(res.transitions)
+    assert len(passes) == 1
+    maps, wrapped = passes[0]
+    assert maps == list(res.transitions)
+    assert [w.calls for w in wrapped] == [1, 1, 1, 1]
+
+
+@pytest.mark.parametrize("m", [2, 4, 8, 16])
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_collapse_certificates_match_the_per_chart_reference_bit_for_bit(k, m):
+    # the one pass over every final transition gives each the certificate
+    # the row-by-row reference gives it alone; images moved off [0, 4] too
+    import cert_reference
+
+    shift = (0.0, -16.0, 16.0, 32.0)[(k + m // 2) % 4]
+    res = collapse_chain(bent_chain(k * m, m, shift), k=k, tol=1e-3)
+    assert len(res.certs) == m
+    for cert, r in zip(res.certs, res.transitions):
+        assert repr(record_fields(cert)) == repr(record_fields(
+            cert_reference.verify_ck_numeric(r, k, 1e-3)))
+
+
+@pytest.mark.parametrize("shift", [0.0, -16.0, 16.0, 32.0])
+def test_join_certificates_match_the_per_chart_reference_bit_for_bit(shift):
+    import cert_reference
+
+    atlas = bent_chain(3, 2, shift)
+    for k in (1, 2, 3, 4):
+        res = join_charts(*atlas.charts, atlas.transitions[0], k=k)
+        for cert, r in ((res.cert_u, res.trans_u), (res.cert_v, res.trans_v)):
+            assert repr(record_fields(cert)) == repr(record_fields(
+                cert_reference.verify_ck_numeric(r, k)))
+
+
+def test_certificate_pass_raises_the_first_maps_first_error():
+    # per map: its values, then its grid slope, then its step powers, each
+    # map's before the next map is called; the nodes of a later map past the
+    # float range raise nothing ahead of them
+    close = NumericDiffeo.from_function(lambda x: x, (-1.0, 1.0), seams=(0.0, 5e-324))
+    tols = join_mod._tolerances(2, None)
+    for first, message in (("close", "seams too close"), ("huge", "map values too large"),
+                           ("far", "seam steps too large")):
+        maps = {"close": Counted(close, close.domain, close.seams),
+                "huge": Counted(lambda x: x * 1e308 * 10.0, (0.0, 1.0), (0.5,)),
+                "far": Counted(lambda x: x, (0.0, 1.7e308), (1.6e308,))}
+        order = [first] + [name for name in maps if name != first]
+        with pytest.raises(DomainError) as looped:
+            for name in order:
+                verify_ck_numeric(maps[name], 2)
+        with pytest.raises(DomainError, match=message) as passed:
+            join_mod._certify([maps[name] for name in order], 2, tols)
+        assert str(passed.value) == str(looped.value)
+        assert [maps[name].calls for name in order] == [2, 0, 0]
 
 
 @pytest.mark.parametrize("k, tol", [(5, None), (0, None), (2, -1.0), (2, (1e-3,))])

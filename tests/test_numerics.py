@@ -66,3 +66,43 @@ def test_extrapolate_matches_the_reference_tableau_bit_for_bit(raw):
     ref_value, ref_err = numerics_reference.extrapolate(raw)
     assert _bits(value) == _bits(ref_value)
     assert _bits(err) == _bits(ref_err)
+
+
+#: Values whose arithmetic rounds, overflows or underflows at the edges.
+_EDGE = st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324,
+                         2.2250738585072014e-308, 1e-300, 1e300, -1.7976931348623157e308))
+
+
+@st.composite
+def cert_row(draw):
+    """One seam estimate's quotients, _CERT_LEVELS of them: a converging
+    series with entries replaced, small integers that tie, or any floats."""
+    from twoorigins.join import _CERT_LEVELS
+
+    kind = draw(st.integers(0, 2))
+    if kind == 1:
+        return draw(st.lists(st.sampled_from((0.0, 1.0, -1.0, 2.0)),
+                             min_size=_CERT_LEVELS, max_size=_CERT_LEVELS))
+    if kind == 2:
+        return draw(st.lists(st.one_of(_EDGE, st.floats()), min_size=_CERT_LEVELS,
+                             max_size=_CERT_LEVELS))
+    limit, c = draw(st.floats(-1e3, 1e3)), draw(st.floats(-10.0, 10.0))
+    raw = [limit + c / 2.0 ** level for level in range(_CERT_LEVELS)]
+    for _ in range(draw(st.integers(0, 4))):
+        raw[draw(st.integers(0, _CERT_LEVELS - 1))] = draw(st.one_of(_EDGE, st.floats()))
+    return raw
+
+
+@given(st.lists(cert_row(), min_size=1, max_size=200))
+@settings(max_examples=150, deadline=None)
+def test_certificate_tableau_matches_the_reference_row_by_row_bit_for_bit(rows):
+    # the certificates' array tableau gives every row extrapolate's (value, err)
+    import numpy as np
+
+    from twoorigins.join import _tableau
+
+    values, errs = _tableau(np.array(rows))
+    for row, value, err in zip(rows, values.tolist(), errs.tolist()):
+        ref_value, ref_err = numerics_reference.extrapolate(row)
+        assert _bits(value) == _bits(ref_value)
+        assert _bits(err) == _bits(ref_err)
